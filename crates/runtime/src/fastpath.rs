@@ -1,13 +1,15 @@
-//! The sharded grant fast path: per-entity atomic lock words and the
+//! The lock-word grant arm: per-entity atomic lock words and the
 //! waiter-sharded waits-for graph.
 //!
-//! The engine `RwLock` in `service.rs` is the runtime's serialization
-//! wall — every grant, finish, and abort takes it exclusively. For
-//! policies whose grant decision is purely per-entity
+//! The service's engine arm decides every grant, finish and abort under
+//! the engine `RwLock`, taken exclusively — the runtime's serialization
+//! wall. For policies whose grant decision is purely per-entity
 //! ([`slp_policies::GrantScope::PerEntity`], i.e. a plain exclusive/
-//! shared lock manager), the common-case decision can instead be one CAS
-//! on the entity's own lock word, so uncontended transactions never
-//! serialize on anything wider than the entities they touch.
+//! shared lock manager), the words arm decides a grant by one CAS on
+//! the entity's own lock word instead, so uncontended transactions never
+//! serialize on anything wider than the entities they touch. Both arms
+//! share the same attempt loop and commit/abort tail (`service.rs`);
+//! only the grant decision lives here.
 //!
 //! # Lock-word layout
 //!
@@ -51,8 +53,8 @@
 //!
 //! # Waiter-sharded waits-for graph
 //!
-//! The PR-5 waits-for map was one global mutex — on the fast path it
-//! would become the new wall. [`WaitGraph`] shards the edge map by the
+//! A waits-for map behind one global mutex would become the new wall
+//! on the words arm. [`WaitGraph`] shards the edge map by the
 //! *waiter* (the potential deadlock victim): publishing or retracting an
 //! edge touches only the waiter's own shard, and the cycle walk crosses
 //! shards one short lock at a time. The walk is therefore not atomic

@@ -63,20 +63,26 @@
 //!
 //! ## Architecture
 //!
-//! The engine is the serialization point for grants that read global
-//! policy state; everything around it is sharded: planning runs under the
-//! engine's *read* lock, conflicting transactions park on entity-striped
-//! condvars and are woken only by releases hashing to their stripe, trace
-//! recording is per-worker with one atomic sequence stamp taken inside
-//! the grant, and deadlocks are caught by a waits-for walk at conflict
-//! time (requester-victim rule, as in the simulator) — over a graph
-//! sharded by waiter — with a park-timeout backstop. For per-entity
-//! policies ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL) the
-//! common case bypasses the engine entirely: eligible plans are granted
-//! by a CAS on the entity's own atomic lock word
-//! ([`RuntimeConfig::grant_fast_path`], on by default), with the engine
-//! kept as the authority for everything outside the plain lock/access
-//! shape. The lost-wakeup and stamp-ordering arguments live in the
+//! Every attempt runs one loop: begin, request the plan batch by batch,
+//! and on a conflict publish a waits-for edge and park; then one
+//! commit/abort tail records the unlocks, frees lock words, wakes
+//! parked workers, appends to the WAL, feeds the certifier, writes the
+//! commit record and flips MVCC visibility. The only per-attempt choice
+//! is who decides a grant. The engine arm decides under the engine's
+//! write lock — the serialization point for grants that read global
+//! policy state. The words arm, for per-entity policies
+//! ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL) with
+//! [`RuntimeConfig::grant_fast_path`] on (the default), decides plain
+//! lock/access plans by a CAS on each entity's atomic lock word and
+//! never takes the engine lock; every other plan shape falls back to
+//! the engine arm. Everything around the grant is sharded: planning
+//! runs under the engine's *read* lock, conflicting transactions park
+//! on entity-striped condvars and are woken only by releases hashing to
+//! their stripe, trace recording is per-worker with one atomic sequence
+//! stamp taken inside the grant, and deadlocks are caught by a
+//! waits-for walk at conflict time (requester-victim rule, as in the
+//! simulator) — over a graph sharded by waiter — with a park-timeout
+//! backstop. The lost-wakeup and stamp-ordering arguments live in the
 //! `service` and `fastpath` module docs (source).
 
 #![forbid(unsafe_code)]

@@ -11,7 +11,8 @@
 //! `_sum` / `_count` lines per histogram — the text-exposition shape
 //! scrapers already understand.
 
-use crate::report::RuntimeReport;
+use crate::report::{Certification, RuntimeReport};
+use slp_durability::WalSummary;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,72 +89,103 @@ impl Histogram {
     }
 }
 
-/// The metrics registry. All fields are public: samplers bump them
-/// directly, dashboards read them directly, [`Metrics::render`] snapshots
-/// everything as text.
-#[derive(Default)]
+/// How a counter folds one run's value into the registry.
+enum Fold {
+    /// Add the run's value (a count-if getter yields 0 or 1).
+    Sum,
+    /// Keep the high-water mark.
+    Max,
+}
+
+/// One registry counter: its exposition name (rendered `slp_<name>`),
+/// the value one run's report contributes, and how that value folds in.
+struct CounterDef {
+    name: &'static str,
+    get: fn(&RuntimeReport) -> u64,
+    fold: Fold,
+}
+
+const fn sum(name: &'static str, get: fn(&RuntimeReport) -> u64) -> CounterDef {
+    CounterDef {
+        name,
+        get,
+        fold: Fold::Sum,
+    }
+}
+
+fn wal(r: &RuntimeReport, get: fn(&WalSummary) -> u64) -> u64 {
+    r.wal.as_ref().map_or(0, get)
+}
+
+fn cert(r: &RuntimeReport, get: fn(&Certification) -> u64) -> u64 {
+    r.certification.as_ref().map_or(0, get)
+}
+
+/// Every counter, in render order — the one place a counter is defined.
+const COUNTERS: &[CounterDef] = &[
+    // Completed runs recorded into this registry.
+    sum("runs_total", |_| 1),
+    sum("attempts_total", |r| r.attempts as u64),
+    sum("committed_total", |r| r.committed as u64),
+    sum("policy_aborts_total", |r| r.policy_aborts as u64),
+    sum("deadlock_aborts_total", |r| r.deadlock_aborts as u64),
+    sum("certification_aborts_total", |r| {
+        r.certification_aborts as u64
+    }),
+    sum("rejected_total", |r| r.rejected as u64),
+    sum("abandoned_total", |r| r.abandoned as u64),
+    sum("grants_total", |r| r.grants),
+    sum("fast_path_grants_total", |r| r.fast_path_grants),
+    sum("slow_path_grants_total", |r| r.slow_path_grants),
+    sum("fast_path_fallbacks_total", |r| r.fast_path_fallbacks),
+    // Conflict observations (a request found its lock held).
+    sum("conflicts_total", |r| r.lock_waits),
+    sum("parks_total", |r| r.parks),
+    sum("park_timeouts_total", |r| r.park_timeouts),
+    sum("snapshot_reads_total", |r| r.snapshot_reads),
+    sum("waves_total", |r| r.waves as u64),
+    sum("sched_parks_avoided_total", |r| r.sched_parks_avoided),
+    sum("wal_records_total", |r| wal(r, |w| w.records)),
+    sum("wal_bytes_total", |r| wal(r, |w| w.bytes)),
+    sum("wal_syncs_total", |r| wal(r, |w| w.syncs)),
+    sum("cert_steps_total", |r| cert(r, |c| c.stats.steps)),
+    sum("cert_edges_total", |r| cert(r, |c| c.stats.edges)),
+    sum("cert_truncations_total", |r| {
+        cert(r, |c| c.stats.truncations)
+    }),
+    // The bounded-memory witness: live certifier nodes at their peak.
+    CounterDef {
+        name: "cert_peak_nodes",
+        get: |r| cert(r, |c| c.stats.peak_nodes as u64),
+        fold: Fold::Max,
+    },
+    // Count-if: runs that latched a serialization-graph cycle.
+    sum("cert_violations_total", |r| {
+        cert(r, |c| u64::from(c.violation.is_some()))
+    }),
+];
+
+/// The metrics registry: one [`Counter`] per entry of the counter table
+/// (run accounting, contention, WAL and certifier counters, all folded
+/// from each run's [`RuntimeReport`]) plus two histograms.
+/// [`Metrics::render`] snapshots everything as text.
 pub struct Metrics {
-    /// Completed runs recorded into this registry.
-    pub runs: Counter,
-    /// Fresh-transaction attempts.
-    pub attempts: Counter,
-    /// Jobs committed.
-    pub committed: Counter,
-    /// Retryable policy-rule aborts.
-    pub policy_aborts: Counter,
-    /// Deadlock-victim aborts.
-    pub deadlock_aborts: Counter,
-    /// Strict-certification cycle-victim aborts.
-    pub certification_aborts: Counter,
-    /// Jobs dropped on fatal violations.
-    pub rejected: Counter,
-    /// Attempts cut short by the wall-clock guard or a strict-mode halt.
-    pub abandoned: Counter,
-    /// Actions granted (both paths; fast + slow always equals this).
-    pub grants: Counter,
-    /// Actions granted by a per-entity lock-word CAS (engine bypassed).
-    pub fast_path_grants: Counter,
-    /// Actions granted under the engine write lock.
-    pub slow_path_grants: Counter,
-    /// Attempts routed to the engine despite an active fast path (plan
-    /// shape outside plain lock/access).
-    pub fast_path_fallbacks: Counter,
-    /// Conflict observations (a request found its lock held).
-    pub conflicts: Counter,
-    /// Times a worker actually blocked on a parking stripe.
-    pub parks: Counter,
-    /// Park-timeout backstop firings (lost-wakeup evidence under a
-    /// generous timeout).
-    pub park_timeouts: Counter,
-    /// Versioned reads served from MVCC snapshots (no lock service).
-    pub snapshot_reads: Counter,
-    /// Waves dispatched by the batch scheduler (zero for unscheduled
-    /// runs).
-    pub waves: Counter,
-    /// Conflict edges the admission-stage DAG resolved by wave ordering
-    /// instead of grant-time parking.
-    pub sched_parks_avoided: Counter,
-    /// WAL records appended.
-    pub wal_records: Counter,
-    /// WAL bytes appended.
-    pub wal_bytes: Counter,
-    /// WAL fsync (or simulated sync) calls.
-    pub wal_syncs: Counter,
-    /// Steps the online certifier observed.
-    pub cert_steps: Counter,
-    /// Serialization-graph edges the certifier inserted.
-    pub cert_edges: Counter,
-    /// Transactions pruned by committed-prefix truncation.
-    pub cert_truncations: Counter,
-    /// High-water mark of live certifier nodes (bounded-memory witness).
-    pub cert_peak_nodes: Counter,
-    /// Serialization-graph cycles latched across runs.
-    pub cert_violations: Counter,
+    counters: [Counter; COUNTERS.len()],
     /// Commit latency (job dispatch to commit, across retries).
     pub commit_latency: Histogram,
     /// Wave width (jobs per scheduler wave; the bucket bounds read as
     /// plain counts here, not microseconds).
     pub wave_width: Histogram,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            counters: std::array::from_fn(|_| Counter::default()),
+            commit_latency: Histogram::default(),
+            wave_width: Histogram::default(),
+        }
+    }
 }
 
 impl Metrics {
@@ -171,83 +203,27 @@ impl Metrics {
         }
     }
 
-    /// Folds one finished run's report into the registry: accounting,
-    /// service contention counters, WAL counters, and the online
-    /// certifier's stats when the run certified.
+    /// Folds one finished run's report into the registry: every counter
+    /// of the table, plus the run's wave widths.
     pub fn record_run(&self, report: &RuntimeReport) {
-        self.runs.add(1);
-        self.attempts.add(report.attempts as u64);
-        self.committed.add(report.committed as u64);
-        self.policy_aborts.add(report.policy_aborts as u64);
-        self.deadlock_aborts.add(report.deadlock_aborts as u64);
-        self.certification_aborts
-            .add(report.certification_aborts as u64);
-        self.rejected.add(report.rejected as u64);
-        self.abandoned.add(report.abandoned as u64);
-        self.grants.add(report.grants);
-        self.fast_path_grants.add(report.fast_path_grants);
-        self.slow_path_grants.add(report.slow_path_grants);
-        self.fast_path_fallbacks.add(report.fast_path_fallbacks);
-        self.conflicts.add(report.lock_waits);
-        self.parks.add(report.parks);
-        self.park_timeouts.add(report.park_timeouts);
-        self.snapshot_reads.add(report.snapshot_reads);
-        self.waves.add(report.waves as u64);
-        self.sched_parks_avoided.add(report.sched_parks_avoided);
+        for (def, counter) in COUNTERS.iter().zip(&self.counters) {
+            let v = (def.get)(report);
+            match def.fold {
+                Fold::Sum => counter.add(v),
+                Fold::Max => counter.record_max(v),
+            }
+        }
         for &width in &report.wave_widths {
             self.wave_width.record(u64::from(width));
-        }
-        if let Some(wal) = &report.wal {
-            self.wal_records.add(wal.records);
-            self.wal_bytes.add(wal.bytes);
-            self.wal_syncs.add(wal.syncs);
-        }
-        if let Some(cert) = &report.certification {
-            self.cert_steps.add(cert.stats.steps);
-            self.cert_edges.add(cert.stats.edges);
-            self.cert_truncations.add(cert.stats.truncations);
-            self.cert_peak_nodes
-                .record_max(cert.stats.peak_nodes as u64);
-            if cert.violation.is_some() {
-                self.cert_violations.add(1);
-            }
         }
     }
 
     /// Renders the registry as a text snapshot: `slp_<name> <value>`
     /// lines, histogram as cumulative buckets.
     pub fn render(&self) -> String {
-        let counters: [(&str, &Counter); 26] = [
-            ("runs_total", &self.runs),
-            ("attempts_total", &self.attempts),
-            ("committed_total", &self.committed),
-            ("policy_aborts_total", &self.policy_aborts),
-            ("deadlock_aborts_total", &self.deadlock_aborts),
-            ("certification_aborts_total", &self.certification_aborts),
-            ("rejected_total", &self.rejected),
-            ("abandoned_total", &self.abandoned),
-            ("grants_total", &self.grants),
-            ("fast_path_grants_total", &self.fast_path_grants),
-            ("slow_path_grants_total", &self.slow_path_grants),
-            ("fast_path_fallbacks_total", &self.fast_path_fallbacks),
-            ("conflicts_total", &self.conflicts),
-            ("parks_total", &self.parks),
-            ("park_timeouts_total", &self.park_timeouts),
-            ("snapshot_reads_total", &self.snapshot_reads),
-            ("waves_total", &self.waves),
-            ("sched_parks_avoided_total", &self.sched_parks_avoided),
-            ("wal_records_total", &self.wal_records),
-            ("wal_bytes_total", &self.wal_bytes),
-            ("wal_syncs_total", &self.wal_syncs),
-            ("cert_steps_total", &self.cert_steps),
-            ("cert_edges_total", &self.cert_edges),
-            ("cert_truncations_total", &self.cert_truncations),
-            ("cert_peak_nodes", &self.cert_peak_nodes),
-            ("cert_violations_total", &self.cert_violations),
-        ];
         let mut out = String::new();
-        for (name, counter) in counters {
-            let _ = writeln!(out, "slp_{name} {}", counter.get());
+        for (def, counter) in COUNTERS.iter().zip(&self.counters) {
+            let _ = writeln!(out, "slp_{} {}", def.name, counter.get());
         }
         self.commit_latency
             .render_into("slp_commit_latency_us", &mut out);
@@ -280,18 +256,69 @@ mod tests {
         assert!(rendered.contains("lat_count 6"));
     }
 
+    /// A run report with the given counters and everything else zero.
+    fn report(committed: usize, peak_nodes: usize, violation: bool) -> RuntimeReport {
+        RuntimeReport {
+            policy: "test",
+            workers: 1,
+            committed,
+            policy_aborts: 0,
+            deadlock_aborts: 0,
+            certification_aborts: 0,
+            rejected: 0,
+            abandoned: 0,
+            attempts: committed,
+            lock_waits: 0,
+            grants: 0,
+            fast_path_grants: 0,
+            slow_path_grants: 0,
+            fast_path_fallbacks: 0,
+            parks: 0,
+            park_timeouts: 0,
+            snapshot_reads: 0,
+            waves: 2,
+            wave_widths: vec![3, 5],
+            sched_parks_avoided: 0,
+            elapsed: std::time::Duration::ZERO,
+            timed_out: false,
+            schedule: slp_core::Schedule::empty(),
+            initial: slp_core::StructuralState::default(),
+            aborted: Vec::new(),
+            latency: crate::LatencySummary::default(),
+            wal: None,
+            certification: Some(Certification {
+                strict: false,
+                violation: violation.then(|| slp_core::CertViolation {
+                    cycle: Vec::new(),
+                    stamp: 0,
+                }),
+                stats: slp_core::CertStats {
+                    peak_nodes,
+                    ..Default::default()
+                },
+            }),
+        }
+    }
+
     #[test]
     fn counters_accumulate_and_render() {
         let m = Metrics::new();
-        m.committed.add(7);
-        m.committed.add(3);
-        m.cert_peak_nodes.record_max(5);
-        m.cert_peak_nodes.record_max(2); // lower: high-water mark holds
+        m.record_run(&report(7, 5, true));
+        // Lower peak and no cycle: the high-water mark holds and the
+        // count-if counter does not move.
+        m.record_run(&report(3, 2, false));
         m.observe_latencies(&[10, 20, 30]);
         let text = m.render();
+        assert!(text.contains("slp_runs_total 2"));
         assert!(text.contains("slp_committed_total 10"));
+        assert!(text.contains("slp_attempts_total 10"));
         assert!(text.contains("slp_cert_peak_nodes 5"));
+        assert!(text.contains("slp_cert_violations_total 1"));
+        assert!(text.contains("slp_waves_total 4"));
+        assert!(text.contains("slp_wal_records_total 0"));
         assert!(text.contains("slp_commit_latency_us_count 3"));
         assert!(text.contains("slp_commit_latency_us_sum 60"));
+        assert!(text.contains("slp_wave_width_count 4"));
+        assert!(text.contains("slp_wave_width_sum 16"));
     }
 }

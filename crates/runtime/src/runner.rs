@@ -14,7 +14,7 @@ use crate::fastpath::LockWords;
 use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
-use crate::service::{BatchOutcome, FastLockOutcome, LockService, MvccState};
+use crate::service::{BatchOutcome, Grantor, LockService, MvccState};
 use slp_core::{EntityId, Schedule, ScheduledStep, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_mvcc::VisibilityRule;
@@ -23,7 +23,6 @@ use slp_policies::{
     PolicyViolation, RegistryError,
 };
 use slp_sim::{planner_for, ActionPlanner, Disposition, Job};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,9 +66,10 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Parking stripes (clamped to 1..=64 by the service).
     pub stripes: usize,
-    /// Max actions granted per engine-lock acquisition. `1` maximizes
-    /// interleaving (conformance suites); larger values amortize the
-    /// serialization point (throughput benches).
+    /// Max actions granted per request (on the engine arm, per
+    /// engine-lock acquisition). `1` maximizes interleaving (conformance
+    /// suites); larger values amortize the serialization point and the
+    /// per-request WAL append (throughput benches).
     pub grant_batch: usize,
     /// Park timeout: the backstop against stale waits-for edges — a parked
     /// worker re-requests (and re-runs deadlock detection) at least this
@@ -108,10 +108,11 @@ pub struct RuntimeConfig {
     /// The sharded grant fast path: for engines whose grants are purely
     /// per-entity ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL),
     /// plain lock/access plans are granted by a CAS on the entity's own
-    /// atomic lock word instead of the engine write lock; conflicts park
-    /// exactly as on the engine path, and anything outside that shape
-    /// (donations, locked points, structural ops, uncovered entities)
-    /// falls back to the engine ([`RuntimeReport::fast_path_fallbacks`]).
+    /// atomic lock word instead of the engine write lock — the same
+    /// attempt loop with a different grant arm — and anything outside
+    /// that shape (donations, locked points, structural ops, uncovered
+    /// entities) falls back to the engine
+    /// ([`RuntimeReport::fast_path_fallbacks`]).
     /// On by default — for [`GrantScope::Global`] engines it changes
     /// nothing. Off is bit-compatible with the engine-only service.
     /// Overridable via `SLP_RUNTIME_FAST_PATH`
@@ -688,15 +689,29 @@ struct TxSource<'a> {
 }
 
 impl TxSource<'_> {
-    /// The id for attempt `attempt` (1-based) of job `ji`.
+    /// The id for attempt `attempt` (1-based) of job `ji`. Ids never
+    /// wrap: `TxId(0)` means *free* in the lock-word encoding, and a
+    /// reused id would merge two transactions in the trace, so running
+    /// out of ids panics instead.
     fn mint(&self, ji: usize, attempt: u32) -> TxId {
-        match self.det_jobs {
+        let id = match self.det_jobs {
             // Unique across (job, attempt) pairs; collision with the
             // shared counter is impossible because deterministic runs
             // never touch it.
-            Some(n) => TxId(1 + ji as u32 + (attempt - 1).wrapping_mul(n)),
-            None => TxId(self.shared.fetch_add(1, Ordering::Relaxed)),
-        }
+            Some(n) => u32::try_from(ji).ok().and_then(|ji| {
+                (attempt - 1)
+                    .checked_mul(n)?
+                    .checked_add(ji)?
+                    .checked_add(1)
+            }),
+            // The counter holds the next id and stops at `u32::MAX`
+            // instead of wrapping to 0, so every later mint fails too.
+            None => self
+                .shared
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
+                .ok(),
+        };
+        TxId(id.expect("transaction ids exhausted: the 32-bit id space would wrap"))
     }
 }
 
@@ -778,8 +793,7 @@ fn run_attempt(
     // Count the attempt before anything can cut it short, so every exit
     // path (commit, abort, reject, abandon) balances against it.
     c.attempts.fetch_add(1, Ordering::Relaxed);
-    let halted = || c.halted.load(Ordering::Relaxed);
-    if Instant::now() > deadline || halted() {
+    if Instant::now() > deadline || c.halted.load(Ordering::Relaxed) {
         return AttemptEnd::Abandoned;
     }
     if job.read_only && service.snapshot_reads_enabled() {
@@ -796,7 +810,7 @@ fn run_attempt(
         };
     }
     // Everything this attempt records lands at or after this index; the
-    // whole range feeds the online certifier in one batch at finish/abort.
+    // whole range feeds the online certifier in one batch at the end.
     let cert_from = trace.len();
 
     // Plan under the read lock; a malformed job must not touch the engine.
@@ -804,150 +818,136 @@ fn run_attempt(
         Ok(p) => p,
         Err(v) => return classify(c, &v),
     };
+    // Plain lock/access plans over covered entities are granted by the
+    // lock words and never touch the engine; anything else (no plan,
+    // donations, locked points, structural ops, uncovered entities) is
+    // a counted fallback to the engine.
+    let mut grant = Grantor::Engine;
     if service.fast_active() {
-        // Plain lock/access plans over covered entities bypass the engine
-        // entirely; anything else (no plan, donations, locked points,
-        // structural ops, uncovered entities) is a counted fallback to
-        // the engine path below.
-        if let Some(shared) = planned
+        match planned
             .as_deref()
             .and_then(|plan| fast_plan_mode(service, plan, job))
         {
-            let plan = planned.expect("mode derived from this plan");
-            return run_fast_attempt(service, tx, &plan, shared, config, deadline, trace, aborted);
-        }
-        c.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-    let intent = planner.intent(job);
-    let plan: Vec<PolicyAction> = match service.begin(tx, &intent) {
-        Ok(engine_plan) => match planned.or(engine_plan) {
-            Some(plan) => plan,
-            None => {
-                // Misconfigured pairing: retire the just-begun transaction
-                // so the engine holds no planless state (adapter rule).
-                service.abort(tx, trace, cert_from);
-                aborted.push(tx);
-                return classify(c, &PolicyViolation::NoPlan(tx));
+            Some(shared) => {
+                grant = Grantor::Words {
+                    shared,
+                    held: Vec::new(),
+                }
             }
-        },
-        Err(v) => return classify(c, &v),
-    };
-
-    let mut cursor = 0usize;
-    while cursor < plan.len() {
-        if Instant::now() > deadline || halted() {
-            service.clear_wait(tx);
-            service.abort(tx, trace, cert_from);
-            aborted.push(tx);
-            return AttemptEnd::Abandoned;
+            None => {
+                c.fast_path_fallbacks.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        match service.request_batch(tx, &plan[cursor..], config.grant_batch, trace) {
+    }
+    let end = match service.begin_attempt(tx, &grant, || planner.intent(job)) {
+        Err(v) => return classify(c, &v),
+        Ok(engine_plan) => match planned.or(engine_plan) {
+            // Misconfigured pairing: retire the just-begun transaction so
+            // the engine holds no planless state (adapter rule).
+            None => classify(c, &PolicyViolation::NoPlan(tx)),
+            Some(plan) => match drive(service, tx, &mut grant, &plan, config, deadline, trace) {
+                Err(end) => end,
+                Ok(()) => match service.end_attempt(tx, &mut grant, true, trace, cert_from) {
+                    Ok(true) => {
+                        c.committed.fetch_add(1, Ordering::Relaxed);
+                        return AttemptEnd::Committed;
+                    }
+                    Ok(false) => {
+                        // Strict certification aborted the commit: the
+                        // locks are released, the commit record stayed
+                        // out of the log and the status table marks the
+                        // transaction aborted. The job restarts as a
+                        // fresh transaction.
+                        c.certification_aborts.fetch_add(1, Ordering::Relaxed);
+                        aborted.push(tx);
+                        return AttemptEnd::Retry;
+                    }
+                    Err(v) => classify(c, &v),
+                },
+            },
+        },
+    };
+    let _ = service.end_attempt(tx, &mut grant, false, trace, cert_from);
+    aborted.push(tx);
+    end
+}
+
+/// Requests `plan` through `grant` until every action is granted
+/// (`Ok`), or the attempt must abort (`Err` with how it ends — the
+/// matching counter already bumped, except `Abandoned`'s). A conflict
+/// publishes the waits-for edge, parks on the contended entity's stripe,
+/// retracts the edge and re-requests one action.
+fn drive(
+    service: &LockService,
+    tx: TxId,
+    grant: &mut Grantor,
+    plan: &[PolicyAction],
+    config: &RuntimeConfig,
+    deadline: Instant,
+    trace: &mut Vec<(u64, ScheduledStep)>,
+) -> Result<(), AttemptEnd> {
+    let c = &service.counters;
+    let expired = || Instant::now() > deadline || c.halted.load(Ordering::Relaxed);
+    let mut cursor = 0usize;
+    let mut max = config.grant_batch;
+    while cursor < plan.len() {
+        if expired() {
+            return Err(AttemptEnd::Abandoned);
+        }
+        match service.request(tx, grant, &plan[cursor..], max, trace) {
             BatchOutcome::Granted { granted } => {
                 cursor += granted;
+                max = config.grant_batch;
                 if config.step_yield {
                     std::thread::yield_now();
                 }
             }
-            BatchOutcome::Violation { violation } => {
-                service.abort(tx, trace, cert_from);
-                aborted.push(tx);
-                return classify(c, &violation);
-            }
+            BatchOutcome::Violation { violation } => return Err(classify(c, &violation)),
             BatchOutcome::Conflict {
                 granted,
-                mut entity,
-                mut holder,
-                mut gen,
+                entity,
+                holder,
+                gen,
             } => {
                 cursor += granted;
-                // One iteration per conflict observation: publish the
-                // waits-for edge, park on the contended entity's stripe,
-                // retract the edge, re-request. `gen` was read inside the
-                // engine section that observed the conflict, so any
-                // release that could have invalidated it bumps the
-                // generation after that read and the park falls through —
-                // this holds equally when a re-request moves the
-                // contention to a *new* entity, which used to re-request
-                // immediately without parking and degenerated to spinning
-                // on a hot plan tail.
-                loop {
-                    // Waits-for edge discipline: publish the edge (and
-                    // walk for a cycle) at every conflict *observation*,
-                    // retract it before every re-request. The edge is
-                    // live exactly while this worker may be parked — a
-                    // published edge through a transaction that is awake
-                    // (its request was granted, or it is mid-abort with
-                    // its locks already released) manufactures phantom
-                    // cycles for every other walker, and each needless
-                    // victim feeds the churn that creates the next one.
-                    // Publishing before every park with the *current*
-                    // holder keeps detection complete: insert and walk
-                    // are atomic, so whichever transaction inserts the
-                    // edge that closes a real cycle sees it.
-                    c.lock_waits.fetch_add(1, Ordering::Relaxed);
-                    if service.note_wait(tx, holder) {
-                        // This request closed a waits-for cycle: the
-                        // requester is the victim (simulator rule).
-                        service.clear_wait(tx);
-                        service.abort(tx, trace, cert_from);
-                        aborted.push(tx);
-                        c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
-                        return AttemptEnd::Retry;
-                    }
-                    if Instant::now() > deadline || halted() {
-                        service.clear_wait(tx);
-                        service.abort(tx, trace, cert_from);
-                        aborted.push(tx);
-                        return AttemptEnd::Abandoned;
-                    }
-                    service.park(entity, gen, config.park_timeout);
+                // Waits-for edge discipline: publish the edge (and walk
+                // for a cycle) at every conflict *observation*, retract
+                // it before every re-request. The edge is live exactly
+                // while this worker may be parked — a published edge
+                // through a transaction that is awake (its request was
+                // granted, or it is mid-abort with its locks already
+                // released) manufactures phantom cycles for every other
+                // walker, and each needless victim feeds the churn that
+                // creates the next one. Publishing before every park with
+                // the *current* holder keeps detection complete: insert
+                // and walk are atomic, so whichever transaction inserts
+                // the edge that closes a real cycle sees it.
+                c.lock_waits.fetch_add(1, Ordering::Relaxed);
+                if service.note_wait(tx, holder) {
+                    // This request closed a waits-for cycle: the
+                    // requester is the victim (simulator rule).
                     service.clear_wait(tx);
-                    match service.request_batch(tx, &plan[cursor..], 1, trace) {
-                        BatchOutcome::Granted { granted } => {
-                            cursor += granted;
-                            break;
-                        }
-                        BatchOutcome::Violation { violation } => {
-                            service.abort(tx, trace, cert_from);
-                            aborted.push(tx);
-                            return classify(c, &violation);
-                        }
-                        BatchOutcome::Conflict {
-                            granted,
-                            entity: e2,
-                            holder: h2,
-                            gen: g2,
-                        } => {
-                            cursor += granted;
-                            entity = e2;
-                            holder = h2;
-                            gen = g2;
-                        }
-                    }
+                    c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
+                    return Err(AttemptEnd::Retry);
                 }
+                if expired() {
+                    service.clear_wait(tx);
+                    return Err(AttemptEnd::Abandoned);
+                }
+                // `gen` was read inside the grant decision that observed
+                // the conflict, so any release that could have
+                // invalidated it bumps the generation after that read
+                // and the park falls through — also when a re-request
+                // moves the contention to a *new* entity (re-requesting
+                // without parking there degenerates to spinning on a hot
+                // plan tail).
+                service.park(entity, gen, config.park_timeout);
+                service.clear_wait(tx);
+                max = 1;
             }
         }
     }
-    match service.finish(tx, trace, cert_from) {
-        Ok(true) => {
-            c.committed.fetch_add(1, Ordering::Relaxed);
-            AttemptEnd::Committed
-        }
-        Ok(false) => {
-            // Strict certification aborted the commit: the engine released
-            // the locks, the service kept the commit record out of the log
-            // and marked the transaction aborted in the status table. The
-            // job restarts as a fresh transaction.
-            c.certification_aborts.fetch_add(1, Ordering::Relaxed);
-            aborted.push(tx);
-            AttemptEnd::Retry
-        }
-        Err(v) => {
-            service.abort(tx, trace, cert_from);
-            aborted.push(tx);
-            classify(c, &v)
-        }
-    }
+    Ok(())
 }
 
 /// Whether `plan` qualifies for the grant fast path, and in which mode:
@@ -982,85 +982,6 @@ fn fast_plan_mode(service: &LockService, plan: &[PolicyAction], job: &Job) -> Op
     Some(job.read_only && locked.len() == 1)
 }
 
-/// One fast-path attempt: every grant is a CAS on the entity's lock word
-/// — the engine is never touched (not even `begin`; the words are the
-/// authority for everything the transaction holds). Conflicts run the
-/// exact engine-path discipline: publish the waits-for edge (victim rule
-/// on a closed cycle), park on the entity's stripe against the
-/// generation read at the conflict, retract, retry. The worker tracks
-/// its held locks locally and commits through
-/// [`LockService::fast_finish`], which records the same unlock steps the
-/// engine would emit.
-#[allow(clippy::too_many_arguments)]
-fn run_fast_attempt(
-    service: &LockService,
-    tx: TxId,
-    plan: &[PolicyAction],
-    shared: bool,
-    config: &RuntimeConfig,
-    deadline: Instant,
-    trace: &mut Vec<(u64, ScheduledStep)>,
-    aborted: &mut Vec<TxId>,
-) -> AttemptEnd {
-    let c = &service.counters;
-    let halted = || c.halted.load(Ordering::Relaxed);
-    let cert_from = trace.len();
-    service.fast_begin(tx);
-    let mut held: BTreeMap<EntityId, bool> = BTreeMap::new();
-    for action in plan {
-        match *action {
-            PolicyAction::Lock(e) => loop {
-                match service.fast_lock(tx, e, shared, trace) {
-                    FastLockOutcome::Granted => {
-                        held.insert(e, shared);
-                        if config.step_yield {
-                            std::thread::yield_now();
-                        }
-                        break;
-                    }
-                    FastLockOutcome::Conflict { holder, gen } => {
-                        // Same waits-for edge discipline as the engine
-                        // path: publish + walk at every conflict
-                        // observation, retract before every retry.
-                        c.lock_waits.fetch_add(1, Ordering::Relaxed);
-                        if service.note_wait(tx, holder) {
-                            service.clear_wait(tx);
-                            service.fast_abort(tx, &held, trace, cert_from);
-                            aborted.push(tx);
-                            c.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
-                            return AttemptEnd::Retry;
-                        }
-                        if Instant::now() > deadline || halted() {
-                            service.clear_wait(tx);
-                            service.fast_abort(tx, &held, trace, cert_from);
-                            aborted.push(tx);
-                            return AttemptEnd::Abandoned;
-                        }
-                        service.park(e, gen, config.park_timeout);
-                        service.clear_wait(tx);
-                    }
-                }
-            },
-            PolicyAction::Access(e) => {
-                service.fast_data(tx, e, shared, trace);
-                if config.step_yield {
-                    std::thread::yield_now();
-                }
-            }
-            // `fast_plan_mode` admits only Lock/Access.
-            _ => unreachable!("ineligible action on the fast path"),
-        }
-    }
-    if service.fast_finish(tx, &held, trace, cert_from) {
-        c.committed.fetch_add(1, Ordering::Relaxed);
-        AttemptEnd::Committed
-    } else {
-        c.certification_aborts.fetch_add(1, Ordering::Relaxed);
-        aborted.push(tx);
-        AttemptEnd::Retry
-    }
-}
-
 /// Applies the shared fatal/transient rule and bumps the matching counter.
 fn classify(c: &crate::service::Counters, v: &PolicyViolation) -> AttemptEnd {
     match Disposition::of(v) {
@@ -1088,4 +1009,35 @@ fn backoff(attempt: u32, config: &RuntimeConfig) {
         .saturating_mul(1u32 << exp)
         .min(config.backoff_cap);
     std::thread::sleep(wait);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "transaction ids exhausted")]
+    fn shared_tx_counter_fails_loudly_instead_of_wrapping() {
+        let next = AtomicU32::new(u32::MAX - 1);
+        let txs = TxSource {
+            shared: &next,
+            det_jobs: None,
+        };
+        assert_eq!(txs.mint(0, 1), TxId(u32::MAX - 1));
+        txs.mint(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "transaction ids exhausted")]
+    fn deterministic_tx_ids_fail_loudly_on_overflow() {
+        let unused = AtomicU32::new(1);
+        let n = u32::MAX / 2;
+        let txs = TxSource {
+            shared: &unused,
+            det_jobs: Some(n),
+        };
+        // 1 + 0 + 2·n = u32::MAX fits; job 1 of attempt 3 does not.
+        assert_eq!(txs.mint(0, 3), TxId(u32::MAX));
+        txs.mint(1, 3);
+    }
 }

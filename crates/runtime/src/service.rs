@@ -1,16 +1,26 @@
 //! The sharded lock service: one [`PolicyEngine`] serving many worker
 //! threads.
 //!
-//! The engine is the serialization point for policies whose grants read
-//! global state — every grant/refuse decision mutates shared policy
-//! state (lock table, wakes, graph), so those decisions run under one
-//! write lock. For per-entity policies
-//! ([`slp_policies::GrantScope::PerEntity`]) the common case bypasses
-//! even that: eligible requests are decided by a CAS on the entity's own
-//! atomic lock word ([`crate::fastpath`]), and the words — not the
-//! engine table — are then the grant authority (engine-path requests in
-//! such a run acquire the word *first*). Everything *around* those
-//! points is sharded or lock-free:
+//! Every attempt makes the same calls: [`LockService::begin_attempt`],
+//! [`LockService::request`] until the plan is granted, then
+//! [`LockService::end_attempt`]. The one thing that differs between
+//! attempts is who decides a grant — the attempt's [`Grantor`]:
+//!
+//! * [`Grantor::Engine`] decides under the engine write lock. The engine
+//!   is the serialization point for policies whose grants read global
+//!   state: every grant/refuse decision mutates shared policy state
+//!   (lock table, wakes, graph).
+//! * [`Grantor::Words`] decides by a CAS on the entity's own atomic lock
+//!   word ([`crate::fastpath`]) and never takes the engine lock. Only
+//!   plain lock/access plans of per-entity policies
+//!   ([`slp_policies::GrantScope::PerEntity`]) take this arm, and in such
+//!   a run the words — not the engine table — are the grant authority:
+//!   engine-arm requests acquire the word *first*.
+//!
+//! Everything after the grant decision is one code path for both arms:
+//! stamping, freeing released words, the wake pass, the WAL append, the
+//! certifier feed and the MVCC commit or abort. Everything *around* the
+//! grant decision is sharded or lock-free:
 //!
 //! * **planning** takes the engine's read lock (planners only read — the
 //!   DDAG planner's dominator-region layout, the expensive part of a
@@ -22,23 +32,24 @@
 //!   worker's condvar;
 //! * **trace recording** is per-worker: granted steps are stamped from one
 //!   global atomic sequence counter *while the granting context is held*
-//!   — the engine lock, or (fast path) the touched entities' lock words.
+//!   — the engine lock, or the touched entities' lock words.
 //!   The stamp-ordering contract: an acquire's stamp is fetched after the
 //!   acquire, a release's before the release, data stamps in between —
 //!   so for every entity the counter's monotonicity orders conflicting
-//!   steps exactly as the grants serialized, whichever path granted
+//!   steps exactly as the grants serialized them, whichever arm granted
 //!   them, and the buffers merged by
 //!   [`slp_core::Schedule::from_sequenced`] are a faithful schedule
 //!   without any runtime coordination;
 //! * **accounting** is plain atomics.
 //!
 //! Lost wakeups are impossible by construction: the stripe generation a
-//! worker will park on is read *inside* the engine section that observed
-//! its conflict ([`BatchOutcome::Conflict`]), and the worker parks only
-//! if that generation is still unchanged under the stripe lock — any
-//! release that could invalidate the conflict is recorded after that
-//! engine section and bumps the generation first (releases bump under
-//! the stripe lock, before `notify_all`). Deadlock detection is complete because a
+//! worker will park on is read *inside* the grant decision that observed
+//! its conflict ([`BatchOutcome::Conflict`]: under the engine lock, or
+//! before the lock-word recheck), and the worker parks only if that
+//! generation is still unchanged under the stripe lock — any release
+//! that could invalidate the conflict is recorded after that decision and
+//! bumps the generation first (releases bump under the stripe lock,
+//! before `notify_all`). Deadlock detection is complete because a
 //! waiter refreshes its waits-for edge to the current holder before every
 //! park (see [`LockService::note_wait`]), so with a generous timeout the
 //! park-timeout backstop never fires on a healthy run — firings are
@@ -65,7 +76,20 @@ struct Stripe {
     cv: Condvar,
 }
 
-/// The outcome of [`LockService::request_batch`].
+/// Who decides one attempt's grants. The runner picks the arm per
+/// attempt from the plan's shape; every other step of the attempt is
+/// shared.
+pub(crate) enum Grantor {
+    /// The per-entity lock words: `Lock` is a word CAS, `Access` is
+    /// recorded under the held word, and the engine lock is never taken.
+    /// `held` lists the entities whose words the attempt holds, all in
+    /// the same mode (`shared` for a single-lock read-only plan).
+    Words { shared: bool, held: Vec<EntityId> },
+    /// The policy engine, under its write lock.
+    Engine,
+}
+
+/// The outcome of [`LockService::request`].
 pub(crate) enum BatchOutcome {
     /// All attempted actions were granted.
     Granted { granted: usize },
@@ -73,33 +97,20 @@ pub(crate) enum BatchOutcome {
     Conflict {
         granted: usize,
         entity: EntityId,
+        /// The holder (or shared-episode representative) to publish a
+        /// waits-for edge against.
         holder: TxId,
         /// The conflicting entity's stripe generation, read *inside* the
-        /// engine section that observed the conflict. Any release that
-        /// could invalidate the conflict is recorded after that section,
-        /// so its generation bump strictly follows this read — parking on
-        /// `gen` can never miss it.
+        /// grant decision that observed the conflict (see
+        /// [`LockService::word_acquire`] for the lock-word recheck). Any
+        /// release that could invalidate the conflict is recorded after
+        /// that decision, so its generation bump strictly follows this
+        /// read — parking on `gen` can never miss it.
         gen: u64,
     },
     /// Some actions may have run, then the policy refused the next
     /// outright (the requester aborts, so the count doesn't matter).
     Violation { violation: PolicyViolation },
-}
-
-/// The outcome of one [`LockService::fast_lock`] attempt.
-pub(crate) enum FastLockOutcome {
-    /// The word CAS won: the lock is held and its step recorded.
-    Granted,
-    /// The word is held against us; park on `gen` (read with the same
-    /// discipline as [`BatchOutcome::Conflict`]) and retry.
-    Conflict {
-        /// The holder (or shared-episode representative) to publish a
-        /// waits-for edge against.
-        holder: TxId,
-        /// The entity's stripe generation, read after the conflict was
-        /// observed and rechecked — see [`LockService::fast_lock`].
-        gen: u64,
-    },
 }
 
 /// Shared accounting, all atomics (no lock on the hot path).
@@ -168,9 +179,9 @@ pub(crate) struct LockService {
     /// qualifies for the sharded grant fast path
     /// ([`slp_policies::GrantScope::PerEntity`] and the knob is on). When
     /// present, the words — not the engine's lock table — are the grant
-    /// authority for covered entities: engine-path transactions acquire
-    /// the word *before* asking the engine, so a fast-path CAS and a
-    /// slow-path engine grant can never both win the same entity.
+    /// authority for covered entities: engine-arm transactions acquire
+    /// the word *before* asking the engine, so a words-arm CAS and an
+    /// engine grant can never both win the same entity.
     fast: Option<LockWords>,
     seq: AtomicU64,
     /// Write-ahead log, when the run is durable. Appends happen *after*
@@ -197,24 +208,39 @@ pub(crate) struct LockService {
 }
 
 /// A batch parked in the spill lane, with the transaction to seal after
-/// feeding it (and whether it aborted) when the attempt ended.
+/// feeding it (and whether it aborted).
 enum SpilledBatch {
-    /// A stamped step batch (locked accesses).
-    Steps(Vec<(u64, ScheduledStep)>, Option<(TxId, bool)>),
+    /// A finished attempt's stamped steps (locked accesses).
+    Steps(Vec<(u64, ScheduledStep)>, (TxId, bool)),
     /// A snapshot-read batch with explicit pivots; the reader seals
     /// (committed) after feeding.
     Reads(Vec<VersionedRead>, TxId),
 }
 
-/// Feeds one batch — spilled or fresh — to the certifier.
+/// Feeds a finished attempt's steps to the certifier, then seals the
+/// transaction (`aborted` or committed).
+fn feed_steps(
+    cert: &mut IncrementalCertifier,
+    steps: &[(u64, ScheduledStep)],
+    (tx, aborted): (TxId, bool),
+) {
+    cert.observe_trace(steps);
+    cert.seal_with(tx, aborted);
+}
+
+/// The lock mode a lock-word grant takes.
+fn lock_mode(shared: bool) -> LockMode {
+    if shared {
+        LockMode::Shared
+    } else {
+        LockMode::Exclusive
+    }
+}
+
+/// Feeds one spilled batch to the certifier.
 fn feed(cert: &mut IncrementalCertifier, batch: SpilledBatch) {
     match batch {
-        SpilledBatch::Steps(steps, seal) => {
-            cert.observe_trace(&steps);
-            if let Some((tx, aborted)) = seal {
-                cert.seal_with(tx, aborted);
-            }
-        }
+        SpilledBatch::Steps(steps, seal) => feed_steps(cert, &steps, seal),
         SpilledBatch::Reads(reads, tx) => {
             cert.observe_snapshot_reads(&reads);
             cert.seal_with(tx, false);
@@ -349,10 +375,11 @@ impl LockService {
 
     /// Bumps the stripe generation of every entity released in
     /// `trace[from..]` — the steps the current call recorded — and wakes
-    /// their parked workers. The one wake rule, shared by the grant,
-    /// finish, and abort paths: callers snapshot `trace.len()` before
-    /// taking the engine lock and call this after dropping it, so woken
-    /// workers contend on the engine, not on us.
+    /// their parked workers. The one wake rule, shared by
+    /// [`request`](LockService::request) and
+    /// [`end_attempt`](LockService::end_attempt): callers snapshot
+    /// `trace.len()` before taking the grant context and call this after
+    /// dropping it, so woken workers contend on the grant, not on us.
     fn wake_recorded(&self, trace: &[(u64, ScheduledStep)], from: usize) {
         // Dedupe stripes per batch: one bump + notify per stripe. The
         // bound is load-bearing in release builds — indexing `bumped`
@@ -388,14 +415,15 @@ impl LockService {
     }
 
     /// Appends `tx`'s commit record: it is durably committed once the
-    /// contiguous-stamp watermark covers its last step. The worker's own
-    /// trace holds every step of its transaction, so the requirement is
-    /// one past the newest stamp attributed to `tx` (0 if it never took a
-    /// step — such a commit is durable from the start).
-    fn log_commit(&self, tx: TxId, trace: &[(u64, ScheduledStep)]) {
+    /// contiguous-stamp watermark covers its last step. `attempt` is the
+    /// slice of the worker's trace the attempt recorded, which holds
+    /// every step of its transaction, so the requirement is one past the
+    /// newest stamp attributed to `tx` (0 if it never took a step — such
+    /// a commit is durable from the start).
+    fn log_commit(&self, tx: TxId, attempt: &[(u64, ScheduledStep)]) {
         if let Some(wal) = &self.wal {
             if !wal.is_failed() {
-                let required = trace
+                let required = attempt
                     .iter()
                     .rev()
                     .find(|(_, s)| s.tx == tx)
@@ -405,41 +433,33 @@ impl LockService {
         }
     }
 
-    /// Feeds an attempt's recorded steps (`trace[from..]`) to the online
-    /// certifier, sealing `seal` afterwards when the attempt retired its
-    /// transaction (commit or abort — either way it takes no further
-    /// steps, which is what makes it truncatable). Called from
-    /// [`finish`](LockService::finish) / [`abort`](LockService::abort)
-    /// after the engine lock is dropped, once per attempt rather than per
-    /// engine section — the certifier orders edges by stamp, so feeding
-    /// late (and in arbitrary order across workers) never changes the
-    /// verdict, and one graph acquisition per attempt keeps the certifier
-    /// off the grant path. The acquisition is a `try_lock`: a worker that
-    /// loses the race spills a copy of its batch instead of blocking (see
+    /// Feeds a finished attempt's recorded steps (`attempt`) to the
+    /// online certifier and seals `seal` — the transaction and whether it
+    /// aborted; either way it takes no further steps, which is what makes
+    /// it truncatable. Called from
+    /// [`end_attempt`](LockService::end_attempt) after the grant context
+    /// is dropped, once per attempt rather than per request — the
+    /// certifier orders edges by stamp, so feeding late (and in arbitrary
+    /// order across workers) never changes the verdict, and one graph
+    /// acquisition per attempt keeps the certifier off the grant path.
+    /// The acquisition is a `try_lock`: a worker that loses the race
+    /// spills a copy of its batch instead of blocking (see
     /// [`CertChannel`]), so certification never convoys the workers.
     /// Monitor mode only — strict mode certifies through
     /// [`certify_strict`](LockService::certify_strict).
-    fn certify_recorded(
-        &self,
-        trace: &[(u64, ScheduledStep)],
-        from: usize,
-        seal: Option<(TxId, bool)>,
-    ) {
+    fn certify_recorded(&self, attempt: &[(u64, ScheduledStep)], seal: (TxId, bool)) {
         let Some(ch) = &self.certifier else {
             return;
         };
-        if trace.len() == from && seal.is_none() {
-            return;
-        }
         let mut cert = match ch.graph.try_lock() {
             Ok(cert) => cert,
             Err(std::sync::TryLockError::WouldBlock) => {
-                self.spill(ch, SpilledBatch::Steps(trace[from..].to_vec(), seal));
+                self.spill(ch, SpilledBatch::Steps(attempt.to_vec(), seal));
                 return;
             }
             Err(std::sync::TryLockError::Poisoned(_)) => panic!("certifier lock poisoned"),
         };
-        feed(&mut cert, SpilledBatch::Steps(trace[from..].to_vec(), seal));
+        feed_steps(&mut cert, attempt, seal);
         self.drain_spill(ch, &mut cert);
     }
 
@@ -549,8 +569,8 @@ impl LockService {
 
     /// Stamps `steps` for `tx` into `trace` with consecutive global
     /// sequence numbers. Must be called while holding the serialization
-    /// context that granted the steps — the engine write lock, or (fast
-    /// path) the touched entities' lock words. Either way the stamps for
+    /// context that granted the steps — the engine write lock, or the
+    /// touched entities' lock words. Either way the stamps for
     /// one entity are fetched strictly between that entity's acquire and
     /// release, so the merged trace orders conflicting steps exactly as
     /// the grants serialized them (the stamp-ordering contract; see the
@@ -558,9 +578,15 @@ impl LockService {
     /// installs versions (writes/inserts/deletes) into the store and
     /// registers lock grants with the commit pipeline — so version
     /// install order matches the serialization order the stamps record.
-    fn record(&self, tx: TxId, steps: Vec<Step>, trace: &mut Vec<(u64, ScheduledStep)>) {
+    fn record(
+        &self,
+        tx: TxId,
+        steps: impl IntoIterator<Item = Step, IntoIter: ExactSizeIterator>,
+        trace: &mut Vec<(u64, ScheduledStep)>,
+    ) {
+        let steps = steps.into_iter();
         let base = self.seq.fetch_add(steps.len() as u64, Ordering::Relaxed);
-        for (i, s) in steps.into_iter().enumerate() {
+        for (i, s) in steps.enumerate() {
             let stamp = base + i as u64;
             if let Some(m) = &self.mvcc {
                 match s.op {
@@ -595,12 +621,13 @@ impl LockService {
         }
     }
 
-    /// Releases a lock word acquired by [`sync_word_acquire`] whose
-    /// engine request was then refused — no unlock step will ever be
-    /// recorded for it, so the word (and any waiter parked on it) must be
-    /// handled here. Safe under the engine write lock (stripe-lock
-    /// holders never take the engine lock).
-    fn drop_sync_word(&self, e: EntityId, tx: TxId) {
+    /// Releases a lock word an engine-arm request acquired
+    /// ([`word_acquire`](LockService::word_acquire)) whose engine request
+    /// was then refused — no unlock step will ever be recorded for it, so
+    /// the word (and any waiter parked on it) must be handled here. Safe
+    /// under the engine write lock (stripe-lock holders never take the
+    /// engine lock).
+    fn drop_refused_word(&self, e: EntityId, tx: TxId) {
         if let Some(words) = &self.fast {
             if words.release(e, tx, false) {
                 let stripe = self.stripe(e);
@@ -610,27 +637,27 @@ impl LockService {
         }
     }
 
-    /// Acquires `e`'s lock word for engine-path transaction `tx` (always
-    /// exclusive — the engine's lock manager grants exclusively). In a
-    /// fast-active run the words are the grant authority, so the word
-    /// comes *before* the engine's own table: `Ok(true)` means freshly
-    /// acquired, `Ok(false)` means `tx` already held it (a relock — the
-    /// engine rules on it, and the word must NOT be released on that
-    /// verdict), `Err` carries the conflicting holder and the stripe
-    /// generation to park on, read with the same recheck discipline as
-    /// the fast path ([`fast_lock`](LockService::fast_lock)).
-    fn sync_word_acquire(&self, e: EntityId, tx: TxId) -> Result<bool, (TxId, u64)> {
-        let words = self.fast.as_ref().expect("fast path inactive");
+    /// Acquires `e`'s lock word for `tx` (`shared` selects the mode; the
+    /// engine arm always asks exclusive — the engine's lock manager grants
+    /// exclusively). `Ok(true)` means freshly acquired, `Ok(false)` means
+    /// `tx` already held it (an engine-arm relock — the engine rules on
+    /// it, and the word must NOT be released on that verdict), `Err`
+    /// carries the conflicting holder and the stripe generation to park
+    /// on. On conflict the generation is read under the stripe lock and
+    /// the word *rechecked*: a releaser frees the word before bumping the
+    /// generation, so a conflict re-observed after the generation read
+    /// cannot have its wakeup already behind us.
+    fn word_acquire(&self, e: EntityId, tx: TxId, shared: bool) -> Result<bool, (TxId, u64)> {
+        let words = self.fast.as_ref().expect("lock words inactive");
         loop {
-            match words.try_acquire(e, tx, false) {
+            match words.try_acquire(e, tx, shared) {
                 Ok(()) => return Ok(true),
                 Err(h) if h == tx => return Ok(false),
                 Err(_) => {
                     let gen = *self.stripe(e).gen.lock().expect("stripe lock");
-                    // Recheck after the generation read: a release that
-                    // freed the word before the read would otherwise be
-                    // parked past (its bump precedes the read).
-                    match words.conflicting_holder(e, false) {
+                    match words.conflicting_holder(e, shared) {
+                        // Freed between the CAS and the recheck: take
+                        // another optimistic swing instead of parking.
                         None => continue,
                         Some(h) if h == tx => return Ok(false),
                         Some(h) => return Err((h, gen)),
@@ -650,108 +677,158 @@ impl LockService {
         planner.plan(&**engine, job)
     }
 
-    /// Begins `tx`; returns the engine's precomputed plan if any. With
-    /// MVCC enabled the transaction also registers as a writer with the
-    /// commit pipeline (its status-table flip orders behind lock-order
-    /// predecessors).
-    pub fn begin(
+    /// Begins `tx` on `grant`'s arm; returns the engine's precomputed
+    /// plan if any. The engine arm begins `tx` in the engine with the
+    /// declared `intent`; the words arm never tells the engine the
+    /// transaction exists (the words are the authority for everything it
+    /// touches). With MVCC enabled the transaction then registers as a
+    /// writer with the commit pipeline (its status-table flip orders
+    /// behind lock-order predecessors) before its first grant.
+    pub fn begin_attempt(
         &self,
         tx: TxId,
-        intent: &AccessIntent,
+        grant: &Grantor,
+        intent: impl FnOnce() -> AccessIntent,
     ) -> Result<Option<Vec<PolicyAction>>, PolicyViolation> {
-        let mut engine = self.engine.write().expect("engine lock poisoned");
-        let plan = engine.begin(tx, intent)?;
+        let plan = match grant {
+            Grantor::Words { .. } => None,
+            Grantor::Engine => {
+                let mut engine = self.engine.write().expect("engine lock poisoned");
+                engine.begin(tx, &intent())?
+            }
+        };
         if let Some(m) = &self.mvcc {
             m.pipeline.begin_writer(tx);
         }
         Ok(plan)
     }
 
-    /// Requests up to `max` consecutive actions of `plan` for `tx` under
-    /// ONE engine-lock acquisition, recording granted steps into `trace`.
-    /// Stops early at the first conflict or violation. Batching amortizes
-    /// the serialization point; `max == 1` maximizes interleaving (the
+    /// Requests up to `max` consecutive actions of `plan` for `tx`,
+    /// recording granted steps into `trace`, and stops early at the first
+    /// conflict or violation. The engine arm decides the whole batch
+    /// under ONE engine-lock acquisition (batching amortizes the
+    /// serialization point); the words arm decides each `Lock` by a word
+    /// CAS and records each `Access` under the held word, emitting the
+    /// steps the engine would (`[read, write]` under an exclusive lock,
+    /// `[read]` under a shared one) so both arms' traces stay
+    /// step-for-step comparable. `max == 1` maximizes interleaving (the
     /// conformance suites run there).
-    pub fn request_batch(
+    pub fn request(
         &self,
         tx: TxId,
+        grant: &mut Grantor,
         plan: &[PolicyAction],
         max: usize,
         trace: &mut Vec<(u64, ScheduledStep)>,
     ) -> BatchOutcome {
+        let max = max.max(1).min(plan.len());
         let mut granted = 0usize;
         let from = trace.len();
-        let outcome = {
-            let mut engine = self.engine.write().expect("engine lock poisoned");
-            loop {
-                if granted >= max.max(1) || granted >= plan.len() {
+        let outcome = match grant {
+            Grantor::Words { shared, held } => loop {
+                if granted == max {
                     break BatchOutcome::Granted { granted };
                 }
-                let action = plan[granted];
-                // In a fast-active run the lock words are the grant
-                // authority even here: acquire the word before asking the
-                // engine, so an engine grant can never race a fast-path
-                // CAS on the same entity.
-                let mut fresh_word = None;
-                if let PolicyAction::Lock(e) = action {
-                    if self.fast.as_ref().is_some_and(|w| w.covers(e)) {
-                        match self.sync_word_acquire(e, tx) {
-                            Ok(fresh) => fresh_word = fresh.then_some(e),
-                            Err((holder, gen)) => {
-                                break BatchOutcome::Conflict {
-                                    granted,
-                                    entity: e,
-                                    holder,
-                                    gen,
-                                };
+                match plan[granted] {
+                    PolicyAction::Lock(e) => match self.word_acquire(e, tx, *shared) {
+                        Ok(_) => {
+                            self.record(tx, [Step::lock(lock_mode(*shared), e)], trace);
+                            held.push(e);
+                        }
+                        Err((holder, gen)) => {
+                            break BatchOutcome::Conflict {
+                                granted,
+                                entity: e,
+                                holder,
+                                gen,
+                            }
+                        }
+                    },
+                    PolicyAction::Access(e) if *shared => self.record(tx, [Step::read(e)], trace),
+                    PolicyAction::Access(e) => {
+                        self.record(tx, [Step::read(e), Step::write(e)], trace)
+                    }
+                    // The runner routes only plain Lock/Access plans here.
+                    _ => unreachable!("ineligible action on the lock-word arm"),
+                }
+                granted += 1;
+            },
+            Grantor::Engine => {
+                let mut engine = self.engine.write().expect("engine lock poisoned");
+                loop {
+                    if granted == max {
+                        break BatchOutcome::Granted { granted };
+                    }
+                    let action = plan[granted];
+                    // In a run with lock words the words are the grant
+                    // authority even here: acquire the word before asking
+                    // the engine, so an engine grant can never race a
+                    // word CAS on the same entity.
+                    let mut fresh_word = None;
+                    if let PolicyAction::Lock(e) = action {
+                        if self.fast_covers(e) {
+                            match self.word_acquire(e, tx, false) {
+                                Ok(fresh) => fresh_word = fresh.then_some(e),
+                                Err((holder, gen)) => {
+                                    break BatchOutcome::Conflict {
+                                        granted,
+                                        entity: e,
+                                        holder,
+                                        gen,
+                                    };
+                                }
                             }
                         }
                     }
-                }
-                match engine.request(tx, action) {
-                    PolicyResponse::Granted(steps) => {
-                        self.record(tx, steps, trace);
-                        granted += 1;
-                    }
-                    PolicyResponse::Conflict { entity, holder } => {
-                        // Unreachable for a word-covered entity (holding
-                        // the word means no engine-path transaction holds
-                        // the engine entry) — but if the engine disagrees,
-                        // its verdict stands and the word goes back.
-                        if let Some(e) = fresh_word {
-                            self.drop_sync_word(e, tx);
+                    match engine.request(tx, action) {
+                        PolicyResponse::Granted(steps) => {
+                            self.record(tx, steps, trace);
+                            granted += 1;
                         }
-                        // Nested stripe-lock acquisition under the engine
-                        // write lock is deadlock-free: stripe-lock holders
-                        // never take the engine lock.
-                        let gen = *self.stripe(entity).gen.lock().expect("stripe lock");
-                        break BatchOutcome::Conflict {
-                            granted,
-                            entity,
-                            holder,
-                            gen,
-                        };
-                    }
-                    PolicyResponse::Violation(violation) => {
-                        // A freshly taken word whose engine request was
-                        // refused will never see an unlock step: release
-                        // it here. (A relock kept `fresh_word` empty — the
-                        // original grant's word stays held to the end.)
-                        if let Some(e) = fresh_word {
-                            self.drop_sync_word(e, tx);
+                        PolicyResponse::Conflict { entity, holder } => {
+                            // Unreachable for a word-covered entity
+                            // (holding the word means no engine-arm
+                            // transaction holds the engine entry) — but if
+                            // the engine disagrees, its verdict stands and
+                            // the word goes back.
+                            if let Some(e) = fresh_word {
+                                self.drop_refused_word(e, tx);
+                            }
+                            // Nested stripe-lock acquisition under the
+                            // engine write lock is deadlock-free:
+                            // stripe-lock holders never take the engine
+                            // lock.
+                            let gen = *self.stripe(entity).gen.lock().expect("stripe lock");
+                            break BatchOutcome::Conflict {
+                                granted,
+                                entity,
+                                holder,
+                                gen,
+                            };
                         }
-                        break BatchOutcome::Violation { violation };
+                        PolicyResponse::Violation(violation) => {
+                            // A freshly taken word whose engine request
+                            // was refused will never see an unlock step:
+                            // release it here. (A relock kept
+                            // `fresh_word` empty — the original grant's
+                            // word stays held to the end.)
+                            if let Some(e) = fresh_word {
+                                self.drop_refused_word(e, tx);
+                            }
+                            break BatchOutcome::Violation { violation };
+                        }
                     }
                 }
             }
         };
         if granted > 0 {
-            self.counters
-                .grants
-                .fetch_add(granted as u64, Ordering::Relaxed);
-            self.counters
-                .slow_path_grants
-                .fetch_add(granted as u64, Ordering::Relaxed);
+            let c = &self.counters;
+            c.grants.fetch_add(granted as u64, Ordering::Relaxed);
+            match grant {
+                Grantor::Words { .. } => &c.fast_path_grants,
+                Grantor::Engine => &c.slow_path_grants,
+            }
+            .fetch_add(granted as u64, Ordering::Relaxed);
         }
         self.release_recorded_words(tx, trace, from);
         self.wake_recorded(trace, from);
@@ -759,77 +836,88 @@ impl LockService {
         outcome
     }
 
-    /// Finishes `tx`, recording its final unlocks. `cert_from` is the
-    /// trace index where the attempt began: everything the attempt
-    /// recorded (`trace[cert_from..]`) is fed to the online certifier in
-    /// one batch. Returns `Ok(true)` on commit; `Ok(false)` when strict
-    /// certification recovered by aborting `tx` instead (no commit
-    /// record, no visibility flip — the caller retries the job as a
-    /// fresh transaction).
-    pub fn finish(
+    /// Ends `tx`'s attempt: commits it when `commit`, else aborts it.
+    /// `cert_from` is the trace index where the attempt began: everything
+    /// the attempt recorded (`trace[cert_from..]`) feeds the online
+    /// certifier in one batch.
+    ///
+    /// Only the unlock steps depend on the arm: the words arm releases
+    /// `held` in ascending entity order (the engine's finish emission),
+    /// the engine arm records whatever `finish`/`abort` emits under the
+    /// write lock. The tail is shared and ordered: release stamps precede
+    /// the word release, so the next holder's acquire stamp lands
+    /// strictly later; words are freed before the wake, so a woken waiter
+    /// finds them free; the commit record precedes the visibility flip,
+    /// so a snapshot never observes a writer the log could lose.
+    ///
+    /// Returns `Ok(true)` on commit; `Ok(false)` for an abort, or when
+    /// strict certification recovered by aborting a committing `tx` (no
+    /// commit record, no visibility flip — the caller retries the job as
+    /// a fresh transaction). `Err` is the engine refusing the commit; the
+    /// transaction is untouched and the caller aborts it.
+    pub fn end_attempt(
         &self,
         tx: TxId,
+        grant: &mut Grantor,
+        commit: bool,
         trace: &mut Vec<(u64, ScheduledStep)>,
         cert_from: usize,
     ) -> Result<bool, PolicyViolation> {
         let from = trace.len();
-        {
-            let mut engine = self.engine.write().expect("engine lock poisoned");
-            let steps = engine.finish(tx)?;
-            self.record(tx, steps, trace);
-        }
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        self.log_recorded(trace, from);
-        if self.strict_certify && self.certify_strict(tx, trace, cert_from, None, false) {
-            // Certification abort: the transaction's recorded steps stay
-            // in the trace and the log (like any aborted transaction's),
-            // but it gets no commit record and its versions never become
-            // visible.
-            if let Some(m) = &self.mvcc {
-                m.pipeline.abort(tx);
+        match grant {
+            Grantor::Words { shared, held } => {
+                held.sort_unstable();
+                let mode = lock_mode(*shared);
+                self.record(tx, held.iter().map(|&e| Step::unlock(mode, e)), trace);
             }
-            return Ok(false);
-        }
-        self.log_commit(tx, trace);
-        if let Some(m) = &self.mvcc {
-            // Visibility flip strictly after the commit record: a
-            // snapshot never observes a writer the log could lose.
-            m.pipeline.commit(tx);
-        }
-        if !self.strict_certify {
-            self.certify_recorded(trace, cert_from, Some((tx, false)));
-        }
-        Ok(true)
-    }
-
-    /// Aborts `tx`, recording the unlocks it still held. `cert_from` as
-    /// in [`finish`](LockService::finish).
-    pub fn abort(&self, tx: TxId, trace: &mut Vec<(u64, ScheduledStep)>, cert_from: usize) {
-        let from = trace.len();
-        {
-            let mut engine = self.engine.write().expect("engine lock poisoned");
-            let steps = engine.abort(tx);
-            self.record(tx, steps, trace);
+            Grantor::Engine => {
+                let mut engine = self.engine.write().expect("engine lock poisoned");
+                let steps = if commit {
+                    engine.finish(tx)?
+                } else {
+                    engine.abort(tx)
+                };
+                self.record(tx, steps, trace);
+            }
         }
         self.release_recorded_words(tx, trace, from);
         self.wake_recorded(trace, from);
-        if let Some(m) = &self.mvcc {
+        let mvcc = self.mvcc.as_ref();
+        if !commit {
             // Aborts resolve immediately (nothing becomes visible) and
             // release any commit-pipeline dependents waiting on `tx`.
-            m.pipeline.abort(tx);
+            if let Some(m) = mvcc {
+                m.pipeline.abort(tx);
+            }
         }
-        // Aborted transactions log their unlock steps (the trace replica
-        // must stay lossless) but never a commit record. The certifier
-        // seals them as *aborted*: they take no further steps (all
-        // truncation needs) and parked snapshot-read edges against their
-        // versions dissolve instead of materializing.
+        // Every attempt logs its steps (the trace replica must stay
+        // lossless); only a certified commit gets a commit record.
         self.log_recorded(trace, from);
-        if self.strict_certify {
-            let _ = self.certify_strict(tx, trace, cert_from, None, true);
-        } else {
-            self.certify_recorded(trace, cert_from, Some((tx, true)));
+        // Strict mode certifies before the commit takes effect; for an
+        // aborting `tx` this only seals it (the result is always false).
+        let cert_aborted =
+            self.strict_certify && self.certify_strict(tx, trace, cert_from, None, !commit);
+        if commit && !cert_aborted {
+            self.log_commit(tx, &trace[cert_from..]);
+            // Visibility flip strictly after the commit record.
+            if let Some(m) = mvcc {
+                m.pipeline.commit(tx);
+            }
+        } else if commit {
+            // Certification abort: the recorded steps stay in the trace
+            // and the log (like any aborted transaction's), but the
+            // versions never become visible.
+            if let Some(m) = mvcc {
+                m.pipeline.abort(tx);
+            }
         }
+        if !self.strict_certify {
+            // Monitor mode seals an aborted `tx` as *aborted*: parked
+            // snapshot-read edges against its versions dissolve instead
+            // of materializing.
+            self.certify_recorded(&trace[cert_from..], (tx, !commit));
+        }
+        Ok(commit && !cert_aborted)
     }
 
     /// Serves a read-only job from an MVCC snapshot: captures a read
@@ -899,172 +987,6 @@ impl LockService {
     /// true with the fast path off).
     pub fn fast_quiescent(&self) -> bool {
         self.fast.as_ref().is_none_or(LockWords::quiescent)
-    }
-
-    /// Begins a fast-path transaction: no engine interaction at all (the
-    /// engine never learns fast-path transactions exist — the lock words
-    /// are the authority for everything they touch), but MVCC writers
-    /// still register with the commit pipeline before their first
-    /// `note_lock`.
-    pub fn fast_begin(&self, tx: TxId) {
-        if let Some(m) = &self.mvcc {
-            m.pipeline.begin_writer(tx);
-        }
-    }
-
-    /// One fast-path lock attempt on `e` for `tx`: optimistic CAS on the
-    /// entity's word; on success the lock step is stamped *while the word
-    /// is held* (the stamp-ordering contract — see the module docs) and
-    /// logged. On conflict the stripe generation is read under the stripe
-    /// lock and the word *rechecked*: a releaser frees the word before
-    /// bumping the generation, so a conflict re-observed after the
-    /// generation read cannot have its wakeup already behind us — parking
-    /// on `gen` is safe exactly as on the engine path.
-    pub fn fast_lock(
-        &self,
-        tx: TxId,
-        e: EntityId,
-        shared: bool,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) -> FastLockOutcome {
-        let words = self.fast.as_ref().expect("fast path inactive");
-        loop {
-            match words.try_acquire(e, tx, shared) {
-                Ok(()) => {
-                    let from = trace.len();
-                    let mode = if shared {
-                        LockMode::Shared
-                    } else {
-                        LockMode::Exclusive
-                    };
-                    self.record(tx, vec![Step::lock(mode, e)], trace);
-                    self.counters.grants.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .fast_path_grants
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.log_recorded(trace, from);
-                    return FastLockOutcome::Granted;
-                }
-                Err(_) => {
-                    let gen = *self.stripe(e).gen.lock().expect("stripe lock");
-                    match words.conflicting_holder(e, shared) {
-                        // Freed between the CAS and the recheck: take
-                        // another optimistic swing instead of parking.
-                        None => continue,
-                        Some(holder) => return FastLockOutcome::Conflict { holder, gen },
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a fast-path data access on an entity whose word `tx`
-    /// holds: the engine would emit `[read, write]` under an exclusive
-    /// lock and `[read]` under a shared one, and the fast path emits the
-    /// identical steps so fast-on and fast-off traces stay step-for-step
-    /// comparable.
-    pub fn fast_data(
-        &self,
-        tx: TxId,
-        e: EntityId,
-        shared: bool,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-    ) {
-        let from = trace.len();
-        let steps = if shared {
-            vec![Step::read(e)]
-        } else {
-            vec![Step::read(e), Step::write(e)]
-        };
-        self.record(tx, steps, trace);
-        self.counters.grants.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fast_path_grants
-            .fetch_add(1, Ordering::Relaxed);
-        self.log_recorded(trace, from);
-    }
-
-    /// Commits a fast-path transaction: records its unlocks in ascending
-    /// entity order (matching the engine's finish emission), frees the
-    /// words *after* stamping (release stamps precede the release CAS, so
-    /// the next holder's acquire stamp lands strictly later), wakes and
-    /// logs, then runs the same certification/durability/visibility tail
-    /// as [`finish`](LockService::finish). `held` maps each held entity
-    /// to whether the hold is shared. Returns `false` when strict
-    /// certification recovered by aborting `tx`.
-    pub fn fast_finish(
-        &self,
-        tx: TxId,
-        held: &std::collections::BTreeMap<EntityId, bool>,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-        cert_from: usize,
-    ) -> bool {
-        let from = trace.len();
-        let steps = held
-            .iter()
-            .map(|(&e, &shared)| {
-                let mode = if shared {
-                    LockMode::Shared
-                } else {
-                    LockMode::Exclusive
-                };
-                Step::unlock(mode, e)
-            })
-            .collect();
-        self.record(tx, steps, trace);
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        self.log_recorded(trace, from);
-        if self.strict_certify && self.certify_strict(tx, trace, cert_from, None, false) {
-            if let Some(m) = &self.mvcc {
-                m.pipeline.abort(tx);
-            }
-            return false;
-        }
-        self.log_commit(tx, trace);
-        if let Some(m) = &self.mvcc {
-            m.pipeline.commit(tx);
-        }
-        if !self.strict_certify {
-            self.certify_recorded(trace, cert_from, Some((tx, false)));
-        }
-        true
-    }
-
-    /// Aborts a fast-path transaction: records the unlocks it still
-    /// held, frees the words, wakes, and runs the same pipeline/log/
-    /// certifier tail as [`abort`](LockService::abort).
-    pub fn fast_abort(
-        &self,
-        tx: TxId,
-        held: &std::collections::BTreeMap<EntityId, bool>,
-        trace: &mut Vec<(u64, ScheduledStep)>,
-        cert_from: usize,
-    ) {
-        let from = trace.len();
-        let steps = held
-            .iter()
-            .map(|(&e, &shared)| {
-                let mode = if shared {
-                    LockMode::Shared
-                } else {
-                    LockMode::Exclusive
-                };
-                Step::unlock(mode, e)
-            })
-            .collect();
-        self.record(tx, steps, trace);
-        self.release_recorded_words(tx, trace, from);
-        self.wake_recorded(trace, from);
-        if let Some(m) = &self.mvcc {
-            m.pipeline.abort(tx);
-        }
-        self.log_recorded(trace, from);
-        if self.strict_certify {
-            let _ = self.certify_strict(tx, trace, cert_from, None, true);
-        } else {
-            self.certify_recorded(trace, cert_from, Some((tx, true)));
-        }
     }
 
     /// Records that `tx` waits for `holder` and walks the waits-for chain:

@@ -255,4 +255,29 @@ fn wall_clock_guard_reports_timeouts_honestly() {
     assert_eq!(report.abandoned, jobs.len());
     assert_eq!(report.committed, 0);
     assert!(report.lock_table_quiescent());
+
+    // A deadline that expires mid-run on a contended 2PL hot/cold queue
+    // far too long to drain in time, on both grant paths: workers parked
+    // on the one hot entity hold their cold locks (lock words on the
+    // fast path), abandon those attempts at the deadline, and must
+    // release every lock on the way out.
+    let pool: Vec<EntityId> = (0..32).map(EntityId).collect();
+    let jobs = hot_cold_jobs(&pool, 20_000, 3, 1, 0.4, 21);
+    for fast in fast_modes() {
+        let ctx = format!("mid-run deadline / fast {fast}");
+        let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool.clone())).unwrap();
+        let report = rt.run(
+            &jobs,
+            &RuntimeConfig {
+                workers: 8,
+                max_wall: std::time::Duration::from_millis(20),
+                grant_fast_path: fast,
+                ..Default::default()
+            },
+        );
+        assert!(report.timed_out, "{ctx}: the deadline did not cut the run");
+        assert!(report.accounting_balances(), "{ctx}: accounting");
+        assert!(report.lock_table_quiescent(), "{ctx}: locks leaked");
+        assert!(report.schedule.is_legal(), "{ctx}: illegal trace");
+    }
 }
