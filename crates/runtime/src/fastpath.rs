@@ -1,5 +1,5 @@
 //! The lock-word grant arm: per-entity atomic lock words and the
-//! waiter-sharded waits-for graph.
+//! waits-for graph.
 //!
 //! The service's engine arm decides every grant, finish and abort under
 //! the engine `RwLock`, taken exclusively — the runtime's serialization
@@ -50,23 +50,6 @@
 //! blocked transaction hidden behind the representative; the runtime
 //! grants shared words only to single-lock read-only plans, which never
 //! wait while holding, so no cycle can run through a reader at all.
-//!
-//! # Waiter-sharded waits-for graph
-//!
-//! A waits-for map behind one global mutex would become the new wall
-//! on the words arm. [`WaitGraph`] shards the edge map by the
-//! *waiter* (the potential deadlock victim): publishing or retracting an
-//! edge touches only the waiter's own shard, and the cycle walk crosses
-//! shards one short lock at a time. The walk is therefore not atomic
-//! with the publish; detection stays complete because every waiter
-//! re-publishes its edge (fresh holder) and re-walks before every park —
-//! in a real deadlock all members stay parked with their edges
-//! published, so whichever member published last walks over the complete
-//! cycle and aborts (the publish-then-scan argument). A non-atomic walk
-//! can transiently observe edges from different instants; a cycle is
-//! therefore confirmed by a second walk before it is reported, so a
-//! mid-walk retraction cannot manufacture a victim out of an
-//! already-resolved conflict.
 
 use rustc_hash::FxHashMap;
 use slp_core::{EntityId, TxId};
@@ -281,84 +264,60 @@ impl LockWords {
     }
 }
 
-/// The waits-for graph, sharded by waiter (= potential victim). See the
-/// module docs for the completeness and confirmation arguments.
+/// The waits-for graph: the edge each blocked waiter publishes to the
+/// holder it waits for, behind one mutex. Inserting an edge and walking
+/// for the cycle it closes happen under one acquisition, so whichever
+/// transaction inserts the edge that closes a cycle sees the whole cycle
+/// and is its only victim.
 pub(crate) struct WaitGraph {
-    shards: Vec<Mutex<FxHashMap<TxId, TxId>>>,
+    edges: Mutex<FxHashMap<TxId, TxId>>,
 }
 
 impl WaitGraph {
-    /// `shards` is clamped to 1..=64 (matching the parking stripes).
-    pub fn new(shards: usize) -> Self {
+    /// An empty graph.
+    pub fn new() -> Self {
         WaitGraph {
-            shards: (0..shards.clamp(1, 64))
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
+            edges: Mutex::new(FxHashMap::default()),
         }
     }
 
-    fn shard(&self, tx: TxId) -> &Mutex<FxHashMap<TxId, TxId>> {
-        &self.shards[tx.0 as usize % self.shards.len()]
-    }
-
-    fn next(&self, tx: TxId) -> Option<TxId> {
-        self.shard(tx)
-            .lock()
-            .expect("waits-for shard poisoned")
-            .get(&tx)
-            .copied()
-    }
-
     /// Publishes the edge `tx → holder` and walks the chain for a cycle
-    /// back to `tx`: `true` iff this edge closed a (doubly confirmed)
-    /// deadlock — the requester aborts, as in the simulator. The walk
-    /// crosses shards one lock at a time; a cycle found once is walked
-    /// again before being reported, so edges observed at different
-    /// instants cannot fabricate a victim.
+    /// back to `tx`: `true` iff this edge closed a deadlock — the
+    /// requester aborts, as in the simulator.
     pub fn note(&self, tx: TxId, holder: TxId) -> bool {
-        self.shard(tx)
-            .lock()
-            .expect("waits-for shard poisoned")
-            .insert(tx, holder);
-        self.cycle_through(tx) && self.cycle_through(tx)
+        let mut edges = self.edges.lock().expect("waits-for graph poisoned");
+        edges.insert(tx, holder);
+        // Every waiter has at most one out-edge, so a cycle through `tx`
+        // is at most `edges.len()` hops long; a walk still going after
+        // that many hops circles a cycle among *other* transactions —
+        // they resolve it, we don't.
+        let mut cur = holder;
+        for _ in 0..edges.len() {
+            if cur == tx {
+                return true;
+            }
+            match edges.get(&cur) {
+                Some(&next) => cur = next,
+                None => return false,
+            }
+        }
+        false
     }
 
     /// Retracts `tx`'s edge (its blocked request was granted, or it
     /// aborts).
     pub fn clear(&self, tx: TxId) {
-        self.shard(tx)
+        self.edges
             .lock()
-            .expect("waits-for shard poisoned")
+            .expect("waits-for graph poisoned")
             .remove(&tx);
-    }
-
-    /// One walk from `tx` along current edges: `true` iff it returns to
-    /// `tx`. A repeated intermediate node is a cycle among *other*
-    /// transactions — they resolve it, we don't.
-    fn cycle_through(&self, tx: TxId) -> bool {
-        let Some(mut cur) = self.next(tx) else {
-            return false;
-        };
-        let mut visited: Vec<TxId> = Vec::new();
-        loop {
-            if cur == tx {
-                return true;
-            }
-            if visited.contains(&cur) {
-                return false;
-            }
-            visited.push(cur);
-            match self.next(cur) {
-                Some(n) => cur = n,
-                None => return false,
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn e(i: u32) -> EntityId {
         EntityId(i)
@@ -501,9 +460,9 @@ mod tests {
     }
 
     #[test]
-    fn wait_graph_detects_cycles_across_shards() {
-        let g = WaitGraph::new(4);
-        // t1 → t2 → t3, no cycle yet (ids land in distinct shards).
+    fn wait_graph_detects_cycles() {
+        let g = WaitGraph::new();
+        // t1 → t2 → t3, no cycle yet.
         assert!(!g.note(t(1), t(2)));
         assert!(!g.note(t(2), t(3)));
         // t3 → t1 closes the cycle; t3 is the victim.
@@ -518,23 +477,51 @@ mod tests {
     }
 
     #[test]
-    fn wait_graph_single_shard_still_terminates() {
-        let g = WaitGraph::new(1);
+    fn wait_graph_foreign_cycle_walk_terminates() {
+        let g = WaitGraph::new();
         assert!(!g.note(t(2), t(4)));
         assert!(g.note(t(4), t(2)), "closing a 2-cycle names the closer");
-        // A walker outside that cycle terminates on the visited check
-        // and is not chosen as a victim for someone else's deadlock.
+        // A walker outside that cycle terminates on the hop bound and is
+        // not chosen as a victim for someone else's deadlock.
         assert!(!g.note(t(1), t(2)), "foreign cycle: not ours to break");
     }
 
     #[test]
     fn wait_graph_refresh_overwrites_the_edge() {
-        let g = WaitGraph::new(8);
+        let g = WaitGraph::new();
         assert!(!g.note(t(1), t(2)));
         // The holder moved on; refreshing points the edge at the fresh
         // holder (PR-6 discipline), and the old edge is gone.
         assert!(!g.note(t(1), t(3)));
         assert!(!g.note(t(2), t(1)), "t1 no longer waits on t2's chain");
         assert!(g.note(t(3), t(1)), "the fresh edge closes this cycle");
+    }
+
+    /// N threads each publish one edge of the ring `t_i → t_{i+1 mod N}`
+    /// at once: whichever inserts last closes the ring and must be its
+    /// only victim — no earlier inserter may also see the whole ring.
+    #[test]
+    fn wait_graph_ring_has_exactly_one_victim() {
+        const N: u32 = 4;
+        for _ in 0..200 {
+            let g = WaitGraph::new();
+            let start = Barrier::new(N as usize);
+            let victims: usize = std::thread::scope(|s| {
+                let walkers: Vec<_> = (0..N)
+                    .map(|i| {
+                        let (g, start) = (&g, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            g.note(t(i + 1), t((i + 1) % N + 1))
+                        })
+                    })
+                    .collect();
+                walkers
+                    .into_iter()
+                    .map(|w| usize::from(w.join().expect("walker panicked")))
+                    .sum()
+            });
+            assert_eq!(victims, 1, "a deadlock ring must have exactly one victim");
+        }
     }
 }

@@ -13,11 +13,11 @@
 //! * [`Runtime`] — build a service for any [`slp_policies::PolicyKind`]
 //!   (or custom engine + planner factory) and [`Runtime::run`] a job
 //!   queue;
-//! * [`RuntimeConfig`] — worker count (`SLP_RUNTIME_THREADS` override via
-//!   [`RuntimeConfig::workers_from_env`]), grant batching, parking and
-//!   backoff tuning (`SLP_RUNTIME_PARK_TIMEOUT_US` /
-//!   `SLP_RUNTIME_BACKOFF_CAP_US` overrides via
-//!   [`RuntimeConfig::with_env_overrides`]), wall-clock guard;
+//! * [`RuntimeConfig`] — worker count, grant batching, park timeout,
+//!   wall-clock guard and the mode switches; the CI matrix's three env
+//!   overrides (`SLP_RUNTIME_THREADS`, `SLP_RUNTIME_FAST_PATH`,
+//!   `SLP_RUNTIME_SCHED`) apply via
+//!   [`RuntimeConfig::with_env_overrides`];
 //! * **durability** — [`Runtime::run_durable`] mirrors every granted step
 //!   and commit into a `slp-durability` write-ahead log (group-committed,
 //!   checkpointed); after a crash, [`fn@recover`] replays the surviving
@@ -78,12 +78,13 @@
 //! the engine arm. Everything around the grant is sharded: planning
 //! runs under the engine's *read* lock, conflicting transactions park
 //! on entity-striped condvars and are woken only by releases hashing to
-//! their stripe, trace recording is per-worker with one atomic sequence
-//! stamp taken inside the grant, and deadlocks are caught by a
+//! their stripe, and trace recording is per-worker with one atomic
+//! sequence stamp taken inside the grant. Deadlocks are caught by a
 //! waits-for walk at conflict time (requester-victim rule, as in the
-//! simulator) — over a graph sharded by waiter — with a park-timeout
-//! backstop. The lost-wakeup and stamp-ordering arguments live in the
-//! `service` and `fastpath` module docs (source).
+//! simulator), under the same mutex acquisition that publishes the
+//! edge, with a park-timeout backstop. The lost-wakeup and
+//! stamp-ordering arguments live in the `service` and `fastpath` module
+//! docs (source).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

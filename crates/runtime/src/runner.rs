@@ -15,7 +15,7 @@ use crate::metrics::Metrics;
 use crate::report::{Certification, LatencySummary, RuntimeReport};
 use crate::scheduler::{SchedMode, WaveDispatch, WavePlan};
 use crate::service::{BatchOutcome, Grantor, LockService, MvccState};
-use slp_core::{EntityId, Schedule, ScheduledStep, StructuralState, TxId};
+use slp_core::{Schedule, ScheduledStep, StructuralState, TxId};
 use slp_durability::{Store, Wal, WalConfig, WalError};
 use slp_mvcc::VisibilityRule;
 use slp_policies::{
@@ -64,8 +64,6 @@ pub enum CertifyMode {
 pub struct RuntimeConfig {
     /// Worker threads (≥ 1).
     pub workers: usize,
-    /// Parking stripes (clamped to 1..=64 by the service).
-    pub stripes: usize,
     /// Max actions granted per request (on the engine arm, per
     /// engine-lock acquisition). `1` maximizes interleaving (conformance
     /// suites); larger values amortize the serialization point and the
@@ -73,20 +71,9 @@ pub struct RuntimeConfig {
     pub grant_batch: usize,
     /// Park timeout: the backstop against stale waits-for edges — a parked
     /// worker re-requests (and re-runs deadlock detection) at least this
-    /// often even if no wakeup arrives. Default **1 ms**; overridable via
-    /// `SLP_RUNTIME_PARK_TIMEOUT_US`
-    /// ([`env_park_timeout`](RuntimeConfig::env_park_timeout)). Timeout
+    /// often even if no wakeup arrives. Default **1 ms**. Timeout
     /// firings are counted in [`RuntimeReport::park_timeouts`].
     pub park_timeout: Duration,
-    /// Base backoff after an abort; attempt `n` waits `min(base · 2ⁿ,
-    /// cap)` (growing backoff breaks symmetric restart livelocks, as in
-    /// the simulator). Default **50 µs**.
-    pub backoff_base: Duration,
-    /// Backoff ceiling (caps the exponential growth after deadlock and
-    /// policy aborts). Default **2 ms**; overridable via
-    /// `SLP_RUNTIME_BACKOFF_CAP_US`
-    /// ([`env_backoff_cap`](RuntimeConfig::env_backoff_cap)).
-    pub backoff_cap: Duration,
     /// Wall-clock guard: past this deadline workers abandon their jobs and
     /// drain (guards against livelock in mutant policies, the threaded
     /// analogue of the simulator's `max_ticks`).
@@ -96,14 +83,12 @@ pub struct RuntimeConfig {
     /// first duty here is producing adversarial traces to verify.
     pub step_yield: bool,
     /// Online serializability certification ([`CertifyMode::Off`] by
-    /// default; overridable via `SLP_RUNTIME_CERTIFY`
-    /// ([`env_certify`](RuntimeConfig::env_certify))).
+    /// default).
     pub certify_online: CertifyMode,
     /// Serve read-only jobs from MVCC snapshots: writers install
     /// versions at grant time and flip visibility at commit, readers
     /// capture a snapshot and never touch the lock service. Off by
-    /// default; overridable via `SLP_RUNTIME_SNAPSHOT_READS`
-    /// ([`env_snapshot_reads`](RuntimeConfig::env_snapshot_reads)).
+    /// default.
     pub snapshot_reads: bool,
     /// The sharded grant fast path: for engines whose grants are purely
     /// per-entity ([`slp_policies::GrantScope::PerEntity`], e.g. 2PL),
@@ -141,11 +126,8 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: 4,
-            stripes: 16,
             grant_batch: 1,
             park_timeout: Duration::from_millis(1),
-            backoff_base: Duration::from_micros(50),
-            backoff_cap: Duration::from_millis(2),
             max_wall: Duration::from_secs(30),
             step_yield: true,
             certify_online: CertifyMode::Off,
@@ -186,52 +168,6 @@ impl RuntimeConfig {
         Self::env_workers().unwrap_or(default)
     }
 
-    /// The park timeout the environment requests, if any:
-    /// `SLP_RUNTIME_PARK_TIMEOUT_US`, in microseconds. Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers): `None` when unset,
-    /// panic on a value that is not a positive integer.
-    pub fn env_park_timeout() -> Option<Duration> {
-        Self::env_micros("SLP_RUNTIME_PARK_TIMEOUT_US")
-    }
-
-    /// The backoff ceiling the environment requests, if any:
-    /// `SLP_RUNTIME_BACKOFF_CAP_US`, in microseconds. Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers).
-    pub fn env_backoff_cap() -> Option<Duration> {
-        Self::env_micros("SLP_RUNTIME_BACKOFF_CAP_US")
-    }
-
-    /// The certification mode the environment requests, if any:
-    /// `SLP_RUNTIME_CERTIFY` ∈ {`off`, `monitor`, `strict`}. Same
-    /// contract as [`env_workers`](RuntimeConfig::env_workers): `None`
-    /// when unset, panic on anything else — a typo'd override must not
-    /// silently fall back.
-    pub fn env_certify() -> Option<CertifyMode> {
-        std::env::var("SLP_RUNTIME_CERTIFY")
-            .ok()
-            .map(|v| match v.as_str() {
-                "off" => CertifyMode::Off,
-                "monitor" => CertifyMode::Monitor,
-                "strict" => CertifyMode::Strict,
-                other => panic!("SLP_RUNTIME_CERTIFY must be off|monitor|strict, got {other:?}"),
-            })
-    }
-
-    /// Whether the environment requests MVCC snapshot reads, if set:
-    /// `SLP_RUNTIME_SNAPSHOT_READS` ∈ {`on`, `off`}. Same contract as
-    /// [`env_workers`](RuntimeConfig::env_workers): `None` when unset,
-    /// panic on anything else — a typo'd override must not silently fall
-    /// back.
-    pub fn env_snapshot_reads() -> Option<bool> {
-        std::env::var("SLP_RUNTIME_SNAPSHOT_READS")
-            .ok()
-            .map(|v| match v.as_str() {
-                "on" => true,
-                "off" => false,
-                other => panic!("SLP_RUNTIME_SNAPSHOT_READS must be on|off, got {other:?}"),
-            })
-    }
-
     /// Whether the environment requests the grant fast path, if set:
     /// `SLP_RUNTIME_FAST_PATH` ∈ {`on`, `1`, `off`, `0`} (the CI matrix
     /// sets `1`). Same contract as
@@ -266,39 +202,14 @@ impl RuntimeConfig {
             })
     }
 
-    fn env_micros(var: &str) -> Option<Duration> {
-        std::env::var(var).ok().map(|v| {
-            let us = v
-                .parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| panic!("{var} must be a positive integer (microseconds)"));
-            Duration::from_micros(us)
-        })
-    }
-
     /// This config with every environment override applied
-    /// (`SLP_RUNTIME_THREADS`, `SLP_RUNTIME_PARK_TIMEOUT_US`,
-    /// `SLP_RUNTIME_BACKOFF_CAP_US`, `SLP_RUNTIME_CERTIFY`,
-    /// `SLP_RUNTIME_SNAPSHOT_READS`, `SLP_RUNTIME_FAST_PATH`,
-    /// `SLP_RUNTIME_SCHED`). The
-    /// examples and stress suites run their configs through this so a CI
-    /// matrix can retune the runtime without touching code.
+    /// (`SLP_RUNTIME_THREADS`, `SLP_RUNTIME_FAST_PATH`,
+    /// `SLP_RUNTIME_SCHED`). The examples and stress suites run their
+    /// configs through this so a CI matrix can retune the runtime without
+    /// touching code.
     pub fn with_env_overrides(mut self) -> Self {
         if let Some(workers) = Self::env_workers() {
             self.workers = workers;
-        }
-        if let Some(park) = Self::env_park_timeout() {
-            self.park_timeout = park;
-        }
-        if let Some(cap) = Self::env_backoff_cap() {
-            self.backoff_cap = cap;
-        }
-        if let Some(certify) = Self::env_certify() {
-            self.certify_online = certify;
-        }
-        if let Some(snapshot) = Self::env_snapshot_reads() {
-            self.snapshot_reads = snapshot;
         }
         if let Some(fast) = Self::env_fast_path() {
             self.grant_fast_path = fast;
@@ -478,14 +389,7 @@ impl Runtime {
                 LockWords::new(capacity)
             })
             .filter(|words| words.capacity() > 0);
-        let service = LockService::new(
-            engine,
-            config.stripes,
-            wal.clone(),
-            config.certify_online,
-            mvcc,
-            fast,
-        );
+        let service = LockService::new(engine, wal.clone(), config.certify_online, mvcc, fast);
         // The batch scheduler: layer the whole admission batch into
         // conflict-free waves from the intents worker 0's planner
         // declares. In deterministic mode, global-scope engines (whose
@@ -765,7 +669,7 @@ fn worker_loop(
                     service.counters.abandoned.fetch_add(1, Ordering::Relaxed);
                     break;
                 }
-                AttemptEnd::Retry => backoff(attempt, config),
+                AttemptEnd::Retry => backoff(attempt),
             }
         }
         // Whatever the outcome, the wave fence counts this job done.
@@ -962,24 +866,17 @@ fn fast_plan_mode(service: &LockService, plan: &[PolicyAction], job: &Job) -> Op
     if plan.is_empty() {
         return None;
     }
-    let mut locked: Vec<EntityId> = Vec::with_capacity(plan.len() / 2 + 1);
-    for action in plan {
-        match *action {
-            PolicyAction::Lock(e) => {
-                if !service.fast_covers(e) || locked.contains(&e) {
-                    return None;
-                }
-                locked.push(e);
-            }
-            PolicyAction::Access(e) => {
-                if !locked.contains(&e) {
-                    return None;
-                }
-            }
+    let mut locks = 0usize;
+    for (i, &action) in plan.iter().enumerate() {
+        // Whether the plan locked `e` before this action.
+        let locked = |e| plan[..i].contains(&PolicyAction::Lock(e));
+        match action {
+            PolicyAction::Lock(e) if service.fast_covers(e) && !locked(e) => locks += 1,
+            PolicyAction::Access(e) if locked(e) => {}
             _ => return None,
         }
     }
-    Some(job.read_only && locked.len() == 1)
+    Some(job.read_only && locks == 1)
 }
 
 /// Applies the shared fatal/transient rule and bumps the matching counter.
@@ -996,19 +893,19 @@ fn classify(c: &crate::service::Counters, v: &PolicyViolation) -> AttemptEnd {
     }
 }
 
+/// Base backoff after an abort: growing backoff breaks symmetric
+/// restart livelocks, as in the simulator.
+const BACKOFF_BASE: Duration = Duration::from_micros(50);
+
+/// Backoff ceiling: caps the exponential growth after deadlock and
+/// policy aborts.
+const BACKOFF_CAP: Duration = Duration::from_millis(2);
+
 /// Exponential backoff with a ceiling: attempt `n` sleeps
-/// `min(base · 2ⁿ⁻¹, cap)` (yields instead of sleeping when base is zero).
-fn backoff(attempt: u32, config: &RuntimeConfig) {
-    if config.backoff_base.is_zero() {
-        std::thread::yield_now();
-        return;
-    }
+/// `min(BACKOFF_BASE · 2ⁿ⁻¹, BACKOFF_CAP)`.
+fn backoff(attempt: u32) {
     let exp = attempt.saturating_sub(1).min(16);
-    let wait = config
-        .backoff_base
-        .saturating_mul(1u32 << exp)
-        .min(config.backoff_cap);
-    std::thread::sleep(wait);
+    std::thread::sleep(BACKOFF_BASE.saturating_mul(1u32 << exp).min(BACKOFF_CAP));
 }
 
 #[cfg(test)]

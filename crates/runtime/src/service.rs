@@ -22,10 +22,10 @@
 //! certifier feed and the MVCC commit or abort. Everything *around* the
 //! grant decision is sharded or lock-free:
 //!
-//! * **planning** takes the engine's read lock (planners only read — the
+//! * **planning** takes the engine's read lock (planners only read): the
 //!   DDAG planner's dominator-region layout, the expensive part of a
-//!   traversal, runs concurrently with other planners and never blocks on
-//!   a writer queueing behind it only for the duration of one request);
+//!   traversal, runs concurrently with other planners and waits on a
+//!   writer only while that writer decides one request;
 //! * **parking** is entity-striped: a conflicting transaction parks on the
 //!   stripe of the contended entity and only unlocks of entities hashing
 //!   to that stripe wake it — uncontended stripes never touch a parked
@@ -68,6 +68,11 @@ use slp_policies::{AccessIntent, PolicyAction, PolicyEngine, PolicyResponse, Pol
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
+
+/// Parking stripes: an entity parks and wakes on stripe
+/// `id % STRIPES`, and the wake pass dedupes stripes in a
+/// `[bool; STRIPES]` bitmap.
+const STRIPES: usize = 16;
 
 /// One parking stripe: a generation counter advanced on every unlock of an
 /// entity hashing here, plus the condvar parked workers wait on.
@@ -173,7 +178,7 @@ impl MvccState {
 /// The shared front-end the worker threads drive.
 pub(crate) struct LockService {
     engine: RwLock<Box<dyn PolicyEngine>>,
-    stripes: Vec<Stripe>,
+    stripes: [Stripe; STRIPES],
     waits_for: WaitGraph,
     /// The per-entity atomic lock-word table, when the run's policy
     /// qualifies for the sharded grant fast path
@@ -264,31 +269,25 @@ struct CertChannel {
 }
 
 impl LockService {
-    /// `stripes` is clamped to 1..=64 (the wake path dedupes released
-    /// stripes in a fixed bitmap). `wal`, when present, receives every
-    /// recorded step batch and commit. `certify` builds the online
+    /// `wal`, when present, receives every recorded step batch and commit. `certify` builds the online
     /// certifier ([`CertifyMode::Off`] costs nothing on the hot path).
     /// `fast`, when present, activates the sharded grant fast path (the
     /// runner builds the word table only for
     /// [`slp_policies::GrantScope::PerEntity`] engines).
     pub fn new(
         engine: Box<dyn PolicyEngine>,
-        stripes: usize,
         wal: Option<Arc<Wal>>,
         certify: CertifyMode,
         mvcc: Option<MvccState>,
         fast: Option<LockWords>,
     ) -> Self {
-        let stripes = stripes.clamp(1, 64);
         LockService {
             engine: RwLock::new(engine),
-            stripes: (0..stripes)
-                .map(|_| Stripe {
-                    gen: Mutex::new(0),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            waits_for: WaitGraph::new(stripes),
+            stripes: std::array::from_fn(|_| Stripe {
+                gen: Mutex::new(0),
+                cv: Condvar::new(),
+            }),
+            waits_for: WaitGraph::new(),
             fast,
             seq: AtomicU64::new(0),
             wal,
@@ -336,7 +335,7 @@ impl LockService {
     }
 
     fn stripe(&self, e: EntityId) -> &Stripe {
-        &self.stripes[e.0 as usize % self.stripes.len()]
+        &self.stripes[e.0 as usize % STRIPES]
     }
 
     /// Parks until the entity's stripe generation moves past `seen` or the
@@ -381,16 +380,13 @@ impl LockService {
     /// `trace.len()` before taking the grant context and call this after
     /// dropping it, so woken workers contend on the grant, not on us.
     fn wake_recorded(&self, trace: &[(u64, ScheduledStep)], from: usize) {
-        // Dedupe stripes per batch: one bump + notify per stripe. The
-        // bound is load-bearing in release builds — indexing `bumped`
-        // past it would skip wakes (a lost-wakeup bug), not just panic.
-        let mut bumped = [false; 64];
-        assert!(self.stripes.len() <= 64, "stripe count exceeds wake bitmap");
+        // Dedupe stripes per batch: one bump + notify per stripe.
+        let mut bumped = [false; STRIPES];
         for (_, s) in &trace[from..] {
             if !s.step.is_unlock() {
                 continue;
             }
-            let idx = s.step.entity.0 as usize % self.stripes.len();
+            let idx = s.step.entity.0 as usize % STRIPES;
             if bumped[idx] {
                 continue;
             }
@@ -1006,13 +1002,6 @@ impl LockService {
     /// longer blocked — a stale edge through an awake transaction
     /// manufactures phantom cycles, and under contention the needless
     /// victims feed an abort storm.
-    ///
-    /// The graph is sharded by waiter ([`WaitGraph`]): the publish is
-    /// atomic per shard and the walk crosses shards lock by lock, so the
-    /// edge that closes a persistent cycle is still seen by whichever
-    /// member publishes last (every member re-publishes and re-walks at
-    /// each park timeout), and a detected cycle is confirmed by a second
-    /// walk before a victim is chosen.
     pub fn note_wait(&self, tx: TxId, holder: TxId) -> bool {
         self.waits_for.note(tx, holder)
     }
@@ -1029,11 +1018,12 @@ mod tests {
     use super::*;
     use slp_policies::{PolicyConfig, PolicyKind, PolicyRegistry};
 
+    /// A 2PL service over entity 0, which parks on stripe 0.
     fn one_stripe_service() -> LockService {
         let engine = PolicyRegistry::new()
             .build(PolicyKind::TwoPhase, &PolicyConfig::flat(vec![EntityId(0)]))
             .expect("2PL builds");
-        LockService::new(engine, 1, None, CertifyMode::Off, None, None)
+        LockService::new(engine, None, CertifyMode::Off, None, None)
     }
 
     /// Forces one instance of the race the fix targets: a parker whose

@@ -277,6 +277,12 @@ fn strict_mode_recovers_by_aborting_the_cycle_victim_and_running_on() {
                     !is_serializable(&report.schedule),
                     "a certification abort implies the raw trace had a cycle"
                 );
+                // Certification aborts are aborts: the rate counts them.
+                assert_eq!(
+                    (report.abort_rate() * report.attempts as f64).round() as usize,
+                    report.policy_aborts + report.deadlock_aborts + report.certification_aborts,
+                    "abort_rate must count certification aborts"
+                );
                 recovered_once = true;
                 break 'sweep;
             }

@@ -44,22 +44,16 @@ const SMOKE_JOBS: usize = 10_000;
 /// A throughput-oriented config with the online certifier monitoring:
 /// batched grants and no per-step yield (the generator measures volume,
 /// not interleaving diversity). Env overrides still apply, so the CI
-/// matrix can pin workers and certification mode.
+/// matrix can pin workers, the grant path and the scheduler.
 fn load_config(workers: usize) -> RuntimeConfig {
-    let mut config = RuntimeConfig {
+    RuntimeConfig {
         grant_batch: 8,
         step_yield: false,
         certify_online: CertifyMode::Monitor,
         max_wall: std::time::Duration::from_secs(120),
         ..RuntimeConfig::with_workers(workers)
     }
-    .with_env_overrides();
-    // The generator's whole point is the online verdict: keep the
-    // certifier on even if the environment says `off`.
-    if config.certify_online == CertifyMode::Off {
-        config.certify_online = CertifyMode::Monitor;
-    }
-    config
+    .with_env_overrides()
 }
 
 /// Checks a safe scenario's run: balanced accounting, no lost jobs, and
@@ -195,8 +189,7 @@ fn read_heavy(jobs: usize, workers: usize) -> bool {
         .map(|j| j.targets.len() as u64)
         .sum();
     let mut config = load_config(workers);
-    // Pin snapshot reads on after env overrides: the scenario *is* the
-    // snapshot read path.
+    // The scenario *is* the snapshot read path.
     config.snapshot_reads = true;
     let mut rt = Runtime::new(PolicyKind::TwoPhase, &PolicyConfig::flat(pool)).expect("2PL builds");
     let report = rt.run(&work, &config);
