@@ -1,10 +1,12 @@
 //! Microbenchmarks for the graph substrate: dominators (Lemma 3's engine),
-//! reachability, topological sort, and forest operations.
+//! the dominator tree, DDAG traversal planning, reachability, topological
+//! sort, and forest operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slp_core::EntityId;
 use slp_graph::{dag, dominators, reach, rooted, Forest};
-use slp_sim::layered_dag;
+use slp_policies::{PolicyConfig, PolicyKind, PolicyRegistry};
+use slp_sim::{layered_dag, ActionPlanner, DdagPlanner, Job};
 use std::hint::black_box;
 
 fn bench_dominators(c: &mut Criterion) {
@@ -16,6 +18,53 @@ fn bench_dominators(c: &mut Criterion) {
             b.iter(|| black_box(dominators::dominator_sets(&d.graph, d.root)));
         });
     }
+    group.finish();
+}
+
+fn bench_immediate_dominators(c: &mut Criterion) {
+    let mut group = c.benchmark_group("immediate_dominators");
+    for (layers, width) in [(3usize, 4usize), (5, 6), (7, 8)] {
+        let d = layered_dag(layers, width, 3, 42);
+        let nodes = d.graph.node_count();
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| black_box(dominators::immediate_dominators(&d.graph, d.root)));
+        });
+    }
+    group.finish();
+}
+
+/// One long-lived DDAG planner laying a two-target traversal: `cached`
+/// plans against an unchanging graph (every call hits the planner's
+/// per-version cache), `rebuild` alternates between the graph and a copy
+/// with one inserted leaf, so every call rebuilds the cache first.
+fn bench_ddag_plan(c: &mut Criterion) {
+    let d = layered_dag(6, 8, 3, 7);
+    let registry = PolicyRegistry::new();
+    let mut universe = d.universe.clone();
+    let mut grown = d.graph.clone();
+    let leaf = universe.entity("fresh-leaf");
+    grown.add_node(leaf).unwrap();
+    grown.add_edge(d.nodes[5][0], leaf).unwrap();
+    let engine = registry
+        .build(PolicyKind::Ddag, &PolicyConfig::dag(d.universe, d.graph))
+        .unwrap();
+    let mutated = registry
+        .build(PolicyKind::Ddag, &PolicyConfig::dag(universe, grown))
+        .unwrap();
+    let job = Job::access(vec![d.nodes[5][1], d.nodes[4][3]]);
+    let mut group = c.benchmark_group("ddag_plan");
+    let mut planner = DdagPlanner::default();
+    group.bench_function("cached", |b| {
+        b.iter(|| black_box(planner.plan(engine.as_ref(), &job).unwrap()));
+    });
+    let mut flip = false;
+    group.bench_function("rebuild", |b| {
+        b.iter(|| {
+            flip = !flip;
+            let on = if flip { &engine } else { &mutated };
+            black_box(planner.plan(on.as_ref(), &job).unwrap())
+        });
+    });
     group.finish();
 }
 
@@ -78,6 +127,8 @@ fn bench_forest_ops(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dominators,
+    bench_immediate_dominators,
+    bench_ddag_plan,
     bench_reachability,
     bench_topo_and_rooted,
     bench_forest_ops

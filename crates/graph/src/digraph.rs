@@ -6,10 +6,20 @@
 //! invariants (acyclicity, rootedness) are checked by the [`crate::dag`]
 //! and [`crate::rooted`] modules rather than enforced here, because the
 //! paper's transactions are themselves responsible for maintaining them.
+//!
+//! Every graph carries a [`DiGraph::version`] stamp so that derived
+//! structures (dominator trees, topological orders) can be cached per
+//! graph state and rebuilt only when the graph changes.
 
 use slp_core::EntityId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of every graph's content stamp. One counter for the whole
+/// process: a stamp is never minted twice, so two graphs share a stamp
+/// only if one is an unmutated clone of the other.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// Errors from graph mutations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,12 +51,24 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// A directed graph with deterministic iteration order (BTree-backed).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Equality compares nodes and edges only, never the
+/// [`version`](DiGraph::version) stamp.
+#[derive(Clone, Debug, Default)]
 pub struct DiGraph {
     nodes: BTreeSet<EntityId>,
     succ: BTreeMap<EntityId, BTreeSet<EntityId>>,
     pred: BTreeMap<EntityId, BTreeSet<EntityId>>,
+    version: u64,
 }
+
+impl PartialEq for DiGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.edges().eq(other.edges())
+    }
+}
+
+impl Eq for DiGraph {}
 
 impl DiGraph {
     /// An empty graph.
@@ -73,11 +95,26 @@ impl DiGraph {
         g
     }
 
+    /// The content stamp: changes on every successful mutation and is
+    /// never reused, so two graphs with equal stamps have equal content.
+    /// A clone keeps its original's stamp until its own first mutation.
+    /// An empty graph from [`DiGraph::new`] has stamp 0.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn bump(&mut self) {
+        // Relaxed: the stamp only has to be unique. It publishes no data;
+        // whoever shares the graph across threads orders its content.
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Adds a node.
     pub fn add_node(&mut self, n: EntityId) -> Result<(), GraphError> {
         if !self.nodes.insert(n) {
             return Err(GraphError::NodeExists(n));
         }
+        self.bump();
         Ok(())
     }
 
@@ -94,6 +131,7 @@ impl DiGraph {
         self.nodes.remove(&n);
         self.succ.remove(&n);
         self.pred.remove(&n);
+        self.bump();
         Ok(())
     }
 
@@ -109,6 +147,7 @@ impl DiGraph {
             return Err(GraphError::EdgeExists(a, b));
         }
         self.pred.entry(b).or_default().insert(a);
+        self.bump();
         Ok(())
     }
 
@@ -119,6 +158,7 @@ impl DiGraph {
             return Err(GraphError::NoSuchEdge(a, b));
         }
         self.pred.get_mut(&b).expect("pred mirrors succ").remove(&a);
+        self.bump();
         Ok(())
     }
 
@@ -255,6 +295,43 @@ mod tests {
         assert_eq!(g.in_degree(e(3)), 2);
         assert_eq!(g.in_degree(e(1)), 0);
         assert_eq!(g.edges().count(), 3);
+    }
+
+    #[test]
+    fn successful_mutations_mint_fresh_versions() {
+        let mut g = DiGraph::new();
+        assert_eq!(g.version(), 0);
+        g.add_node(e(1)).unwrap();
+        let v1 = g.version();
+        assert_ne!(v1, 0);
+        assert!(g.add_node(e(1)).is_err());
+        assert!(g.add_edge(e(1), e(9)).is_err());
+        assert!(g.remove_edge(e(1), e(1)).is_err());
+        assert_eq!(g.version(), v1, "failed mutations keep the stamp");
+        let mut c = g.clone();
+        assert_eq!(c.version(), v1, "a clone carries the stamp");
+        c.add_node(e(2)).unwrap();
+        assert_ne!(c.version(), v1);
+        assert_eq!(g.version(), v1);
+        c.add_edge(e(1), e(2)).unwrap();
+        let v2 = c.version();
+        c.remove_edge(e(1), e(2)).unwrap();
+        let v3 = c.version();
+        c.remove_node(e(2)).unwrap();
+        assert!(v1 < v2 && v2 < v3 && v3 < c.version());
+    }
+
+    #[test]
+    fn equality_ignores_version_and_emptied_adjacency() {
+        let a = DiGraph::from_parts([e(1), e(2)], [(e(1), e(2))]);
+        let mut b = DiGraph::from_parts([e(2), e(1), e(3)], [(e(2), e(3))]);
+        b.remove_edge(e(2), e(3)).unwrap();
+        b.remove_node(e(3)).unwrap();
+        b.add_edge(e(1), e(2)).unwrap();
+        assert_ne!(a.version(), b.version());
+        assert_eq!(a, b);
+        b.remove_edge(e(1), e(2)).unwrap();
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! of the transaction's start) by the first entity it locked. The safety
 //! proof, the policy validator, and the property tests all consult this
 //! module.
+//!
+//! Two representations: [`dominator_sets`] spells out every node's full
+//! dominator set (the definition, used by the `dominates*` helpers and the
+//! tests), while [`immediate_dominators`] builds the [`DominatorTree`],
+//! which answers the DDAG planner's one query — the lowest common
+//! dominator of a transaction's targets — by walking parent links.
 
 use crate::digraph::DiGraph;
 use slp_core::EntityId;
@@ -61,6 +67,141 @@ pub fn dominator_sets(g: &DiGraph, root: EntityId) -> BTreeMap<EntityId, BTreeSe
         }
     }
     dom
+}
+
+/// The dominator tree of the nodes reachable from a root: each node's
+/// immediate dominator (its closest strict dominator) and its depth below
+/// the root. Built by [`immediate_dominators`].
+#[derive(Clone, Debug)]
+pub struct DominatorTree {
+    /// Reverse-postorder number of each reachable node.
+    index: BTreeMap<EntityId, usize>,
+    /// The reachable nodes in reverse postorder; `nodes[0]` is the root.
+    nodes: Vec<EntityId>,
+    /// Immediate dominator by reverse-postorder number (`idom[0] == 0`).
+    idom: Vec<usize>,
+    /// Depth in the dominator tree (the root has depth 0).
+    depth: Vec<usize>,
+}
+
+impl DominatorTree {
+    /// The immediate dominator of `n`; `None` for the root and for nodes
+    /// not reachable from it.
+    pub fn idom(&self, n: EntityId) -> Option<EntityId> {
+        let i = *self.index.get(&n)?;
+        (i != 0).then(|| self.nodes[self.idom[i]])
+    }
+
+    /// The depth of `n` in the dominator tree — the number of its strict
+    /// dominators; `None` for nodes not reachable from the root.
+    pub fn depth(&self, n: EntityId) -> Option<usize> {
+        self.index.get(&n).map(|&i| self.depth[i])
+    }
+
+    /// The lowest common dominator of `a` and `b`: the dominator of both
+    /// that every other common dominator dominates. `None` if either is
+    /// unreachable from the root.
+    ///
+    /// Lifts the deeper node to the other's depth, then walks both up in
+    /// step until they meet.
+    pub fn lowest_common_dominator(&self, a: EntityId, b: EntityId) -> Option<EntityId> {
+        let (mut a, mut b) = (*self.index.get(&a)?, *self.index.get(&b)?);
+        while self.depth[a] > self.depth[b] {
+            a = self.idom[a];
+        }
+        while self.depth[b] > self.depth[a] {
+            b = self.idom[b];
+        }
+        while a != b {
+            a = self.idom[a];
+            b = self.idom[b];
+        }
+        Some(self.nodes[a])
+    }
+}
+
+/// The dominator tree of the nodes reachable from `root` (empty if `root`
+/// is not a node).
+///
+/// Cooper, Harvey and Kennedy's iterative algorithm: number the reachable
+/// nodes in reverse postorder, then set each node's idom to the
+/// intersection (nearest common tree ancestor) of its processed
+/// predecessors' idoms until nothing changes. On a DAG reverse postorder
+/// is topological, so the second pass only confirms the first.
+pub fn immediate_dominators(g: &DiGraph, root: EntityId) -> DominatorTree {
+    let mut nodes = Vec::new();
+    if g.has_node(root) {
+        // Iterative DFS postorder, successors in id order.
+        let mut seen = BTreeSet::from([root]);
+        let mut stack = vec![(root, g.successors(root))];
+        while let Some((n, succs)) = stack.last_mut() {
+            let n = *n;
+            match succs.next() {
+                Some(s) => {
+                    if seen.insert(s) {
+                        stack.push((s, g.successors(s)));
+                    }
+                }
+                None => {
+                    nodes.push(n);
+                    stack.pop();
+                }
+            }
+        }
+        nodes.reverse();
+    }
+    let index: BTreeMap<EntityId, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    const UNSET: usize = usize::MAX;
+    let mut idom = vec![UNSET; nodes.len()];
+    if let Some(first) = idom.first_mut() {
+        *first = 0;
+    }
+    let intersect = |idom: &[usize], mut a: usize, mut b: usize| {
+        while a != b {
+            while a > b {
+                a = idom[a];
+            }
+            while b > a {
+                b = idom[b];
+            }
+        }
+        a
+    };
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in 1..nodes.len() {
+            let mut new = UNSET;
+            for p in g.predecessors(nodes[i]) {
+                // Unreachable predecessors have no index and are skipped.
+                let Some(&j) = index.get(&p) else { continue };
+                if idom[j] == UNSET {
+                    continue;
+                }
+                new = if new == UNSET {
+                    j
+                } else {
+                    intersect(&idom, j, new)
+                };
+            }
+            if idom[i] != new {
+                idom[i] = new;
+                changed = true;
+            }
+        }
+    }
+    // An idom precedes its node in reverse postorder, so one forward pass
+    // fills every depth.
+    let mut depth = vec![0; nodes.len()];
+    for i in 1..nodes.len() {
+        depth[i] = depth[idom[i]] + 1;
+    }
+    DominatorTree {
+        index,
+        nodes,
+        idom,
+        depth,
+    }
 }
 
 /// Whether `d` dominates node `w` with respect to `root`: every path from
@@ -158,6 +299,36 @@ mod tests {
         let g = DiGraph::from_parts([e(1), e(2), e(3)], [(e(1), e(2)), (e(2), e(3))]);
         assert!(dominates(&g, e(1), e(2), e(3)));
         assert!(!dominates(&g, e(1), e(3), e(2)));
+    }
+
+    #[test]
+    fn dominator_tree_of_the_diamond_tail() {
+        let t = immediate_dominators(&diamond_tail(), e(1));
+        assert_eq!(t.idom(e(1)), None);
+        assert_eq!(t.depth(e(1)), Some(0));
+        assert_eq!(t.idom(e(2)), Some(e(1)));
+        assert_eq!(t.idom(e(4)), Some(e(1)), "the join skips both arms");
+        assert_eq!(t.idom(e(5)), Some(e(4)));
+        assert_eq!(t.depth(e(5)), Some(2));
+        assert_eq!(t.lowest_common_dominator(e(2), e(3)), Some(e(1)));
+        assert_eq!(t.lowest_common_dominator(e(5), e(4)), Some(e(4)));
+        assert_eq!(t.lowest_common_dominator(e(5), e(5)), Some(e(5)));
+        assert_eq!(t.lowest_common_dominator(e(2), e(5)), Some(e(1)));
+    }
+
+    #[test]
+    fn dominator_tree_skips_unreachable_nodes_and_absent_roots() {
+        let g = DiGraph::from_parts([e(1), e(2), e(9)], [(e(9), e(2)), (e(1), e(2))]);
+        let t = immediate_dominators(&g, e(1));
+        assert_eq!(
+            t.idom(e(2)),
+            Some(e(1)),
+            "the unreachable parent is ignored"
+        );
+        assert_eq!(t.depth(e(9)), None);
+        assert_eq!(t.lowest_common_dominator(e(2), e(9)), None);
+        let absent = immediate_dominators(&g, e(7));
+        assert!(g.nodes().all(|n| absent.depth(n).is_none()));
     }
 
     #[test]

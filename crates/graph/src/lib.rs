@@ -5,13 +5,16 @@
 //! maintains a *database forest*. This crate provides both structures and
 //! the queries the policies and their correctness arguments need:
 //!
-//! * [`DiGraph`] — mutable digraph with deterministic iteration;
+//! * [`DiGraph`] — mutable digraph with deterministic iteration and a
+//!   content [`version`](DiGraph::version) stamp for caching derived
+//!   structures;
 //! * [`dag`] — acyclicity, topological sort, cycle-prevention checks;
 //! * [`reach`] — ancestors/descendants/path queries;
 //! * [`rooted`] — the paper's rootedness definition (unique root reaching
 //!   every node);
 //! * [`dominators`] — dominator sets ("every path from the root to `w`
-//!   passes through `d`"), the engine of Lemma 3;
+//!   passes through `d`"), the engine of Lemma 3, and the dominator tree
+//!   that answers lowest-common-dominator queries by an idom walk;
 //! * [`Forest`] — parent-pointer forests with the DTR policy's `join` and
 //!   `remove` mutations.
 

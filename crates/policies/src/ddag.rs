@@ -260,14 +260,16 @@ impl DdagEngine {
         if self.graph.has_node(n) {
             // L4: the first lock may be any node; afterwards L5 applies.
             if st.first.is_some() {
-                let preds: BTreeSet<EntityId> = self.graph.predecessors(n).collect();
                 if self.config.require_all_predecessors
-                    && !preds.iter().all(|p| st.locked_past.contains(p))
+                    && !self
+                        .graph
+                        .predecessors(n)
+                        .all(|p| st.locked_past.contains(&p))
                 {
                     return Err(DdagViolation::PredecessorsNotLocked(tx, n));
                 }
                 if self.config.require_held_predecessor
-                    && !preds.iter().any(|p| st.holding.contains(p))
+                    && !self.graph.predecessors(n).any(|p| st.holding.contains(&p))
                 {
                     return Err(DdagViolation::NoHeldPredecessor(tx, n));
                 }

@@ -22,10 +22,12 @@
 //! certifier feed and the MVCC commit or abort. Everything *around* the
 //! grant decision is sharded or lock-free:
 //!
-//! * **planning** takes the engine's read lock (planners only read): the
-//!   DDAG planner's dominator-region layout, the expensive part of a
-//!   traversal, runs concurrently with other planners and waits on a
-//!   writer only while that writer decides one request;
+//! * **planning** takes the engine's read lock (planners only read) and
+//!   runs concurrently with other planners, waiting on a writer only
+//!   while that writer decides one request. Each worker keeps its planner
+//!   for the whole run, so the DDAG planner's dominator tree and
+//!   topological positions, cached per graph version, are rebuilt once
+//!   per structural change rather than once per traversal;
 //! * **parking** is entity-striped: a conflicting transaction parks on the
 //!   stripe of the contended entity and only unlocks of entities hashing
 //!   to that stripe wake it — uncontended stripes never touch a parked

@@ -33,12 +33,13 @@ use crate::adapter::{Advance, PolicyAdapter};
 use crate::job::Job;
 use rustc_hash::FxHashMap;
 use slp_core::{EntityId, Step, StructuralState, TxId};
-use slp_graph::{dag, dominators, rooted, DiGraph};
+use slp_graph::dominators::{self, DominatorTree};
+use slp_graph::{dag, rooted, DiGraph};
 use slp_policies::{
     AccessIntent, PlanViolation, PolicyAction, PolicyConfig, PolicyEngine, PolicyKind,
     PolicyRegistry, PolicyResponse, PolicyViolation, RegistryError,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Translates [`Job`]s into [`PolicyAction`] plans for one policy.
 ///
@@ -128,42 +129,83 @@ impl ActionPlanner for AltruisticPlanner {
 
 /// DDAG traversals and structural inserts over the engine's shared rooted
 /// DAG.
-pub struct DdagPlanner;
+///
+/// The planner caches what every traversal plan needs from the graph —
+/// rootedness, the [`DominatorTree`] and each node's topological position
+/// — keyed by the graph's [`DiGraph::version`] stamp, and rebuilds it only
+/// when the stamp differs. A stale hit is impossible: stamps are minted
+/// from one process-wide counter on every successful mutation, so two
+/// graphs (even in different engines, or a graph and its clone after
+/// either is mutated) share a stamp only if their content is equal. Keep
+/// one planner per worker for the whole run; it rebuilds once per graph
+/// mutation it observes.
+#[derive(Default)]
+pub struct DdagPlanner {
+    cache: Option<Layout>,
+}
+
+/// The version-stamped graph facts a traversal plan reads.
+struct Layout {
+    version: u64,
+    /// `None` if the graph is not rooted.
+    dom: Option<DominatorTree>,
+    /// Each node's index in [`dag::topological_sort`]; `None` if the graph
+    /// is cyclic (or not rooted — never consulted then).
+    topo_pos: Option<FxHashMap<EntityId, usize>>,
+}
+
+impl Layout {
+    fn of(g: &DiGraph) -> Self {
+        let dom = rooted::root(g).map(|root| dominators::immediate_dominators(g, root));
+        let topo_pos = dom.as_ref().and_then(|_| {
+            let topo = dag::topological_sort(g)?;
+            Some(topo.into_iter().enumerate().map(|(i, n)| (n, i)).collect())
+        });
+        Layout {
+            version: g.version(),
+            dom,
+            topo_pos,
+        }
+    }
+}
 
 impl DdagPlanner {
     /// Plans a traversal: the dominator-closed region covering `targets`,
     /// locked in topological order with crawling release. Planned against
     /// the *current* graph — concurrent structural changes surface later
     /// as policy violations (abort + replan), as in Fig. 3.
+    ///
+    /// Reads the cached [`Layout`] for `g`'s version (rebuilding it on a
+    /// miss): the start node is the lowest common dominator of the targets
+    /// by idom walk, and the region is ordered by cached topological
+    /// position.
     fn plan_traversal(
+        &mut self,
         g: &DiGraph,
         targets: &[EntityId],
     ) -> Result<Vec<PolicyAction>, PolicyViolation> {
         if targets.is_empty() {
             return Err(PlanViolation::EmptyJob.into());
         }
-        let root = rooted::root(g).ok_or(PlanViolation::NotRooted)?;
+        if self.cache.as_ref().map(|c| c.version) != Some(g.version()) {
+            self.cache = Some(Layout::of(g));
+        }
+        let layout = self.cache.as_ref().expect("filled above");
+        let dom = layout.dom.as_ref().ok_or(PlanViolation::NotRooted)?;
         for &t in targets {
             if !g.has_node(t) {
                 return Err(PlanViolation::TargetMissing(t).into());
             }
         }
-        // Lowest common dominator: intersect dominator sets, take the one
-        // dominated by all others in the intersection (the largest set).
-        let sets = dominators::dominator_sets(g, root);
-        let mut common: BTreeSet<EntityId> = sets
-            .get(&targets[0])
-            .ok_or(PlanViolation::UnreachableFromRoot(targets[0]))?
-            .clone();
+        // Lowest common dominator of all targets (Lemma 3(a): the first
+        // lock must dominate everything the transaction locks).
+        let mut start = targets[0];
         for &t in &targets[1..] {
-            let s = sets.get(&t).ok_or(PlanViolation::UnreachableFromRoot(t))?;
-            common = common.intersection(s).copied().collect();
+            start = dom
+                .lowest_common_dominator(start, t)
+                .ok_or(PlanViolation::UnreachableFromRoot(t))?;
         }
-        let start = common
-            .iter()
-            .copied()
-            .max_by_key(|d| sets[d].len())
-            .ok_or(PlanViolation::NoCommonDominator)?;
+        let pos = layout.topo_pos.as_ref().ok_or(PlanViolation::CyclicGraph)?;
         // Region: predecessor closure from the targets up to `start`.
         let mut region: BTreeSet<EntityId> = targets.iter().copied().collect();
         region.insert(start);
@@ -178,33 +220,34 @@ impl DdagPlanner {
             // so the closure terminates at `start` without passing it.
         }
         // Lock order: global topological order restricted to the region.
-        let topo = dag::topological_sort(g).ok_or(PlanViolation::CyclicGraph)?;
-        let order: Vec<EntityId> = topo.into_iter().filter(|n| region.contains(n)).collect();
+        let mut order: Vec<EntityId> = region.iter().copied().collect();
+        order.sort_unstable_by_key(|n| pos[n]);
         // Release point of n: after the last region-successor of n is
         // locked (so L5's "presently holding a predecessor" always holds).
-        let idx: BTreeMap<EntityId, usize> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut release_after: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        // Sorted by (release point, own position), keyed by topological
+        // position, which orders the same way as the index in `order`.
+        let mut releases: Vec<(usize, usize, EntityId)> = order
+            .iter()
+            .map(|&n| {
+                let at = g
+                    .successors(n)
+                    .filter(|s| region.contains(s))
+                    .map(|s| pos[&s])
+                    .max()
+                    .unwrap_or(pos[&n]);
+                (at, pos[&n], n)
+            })
+            .collect();
+        releases.sort_unstable();
+        let mut releases = releases.into_iter().peekable();
+        let mut plan = Vec::with_capacity(order.len() * 2 + targets.len());
         for &n in &order {
-            let last_succ = g
-                .successors(n)
-                .filter(|s| region.contains(s))
-                .filter_map(|s| idx.get(&s).copied())
-                .max();
-            let at = last_succ.unwrap_or(idx[&n]);
-            release_after.entry(at).or_default().push(n);
-        }
-        let target_set: BTreeSet<EntityId> = targets.iter().copied().collect();
-        let mut plan = Vec::new();
-        for (i, &n) in order.iter().enumerate() {
             plan.push(PolicyAction::Lock(n));
-            if target_set.contains(&n) {
+            if targets.contains(&n) {
                 plan.push(PolicyAction::Access(n));
             }
-            if let Some(done) = release_after.get(&i) {
-                for &m in done {
-                    plan.push(PolicyAction::Unlock(m));
-                }
+            while let Some((_, _, m)) = releases.next_if(|&(at, _, _)| at == pos[&n]) {
+                plan.push(PolicyAction::Unlock(m));
             }
         }
         Ok(plan)
@@ -234,7 +277,7 @@ impl ActionPlanner for DdagPlanner {
             ]));
         }
         let g = engine.graph().ok_or(PlanViolation::NoGraph)?;
-        Self::plan_traversal(g, &job.targets).map(Some)
+        self.plan_traversal(g, &job.targets).map(Some)
     }
 }
 
@@ -284,7 +327,7 @@ pub fn planner_for(kind: PolicyKind) -> Box<dyn ActionPlanner> {
     match kind.base() {
         PolicyKind::TwoPhase => Box::new(TwoPhasePlanner),
         PolicyKind::Altruistic => Box::new(AltruisticPlanner),
-        PolicyKind::Ddag => Box::new(DdagPlanner),
+        PolicyKind::Ddag => Box::new(DdagPlanner::default()),
         PolicyKind::Dtr => Box::new(DtrPlanner),
         mutant => unreachable!("PolicyKind::base returns safe kinds, got {mutant}"),
     }
@@ -601,6 +644,198 @@ mod tests {
         let err = a.begin(t(1), &Job::access(vec![])).unwrap_err();
         assert_eq!(err, PolicyViolation::Plan(PlanViolation::EmptyJob));
         assert!(err.is_fatal(), "an empty job can never commit work");
+    }
+
+    /// The per-plan algorithm the cached planner replaced, kept verbatim
+    /// as the oracle: recomputes rootedness, every dominator set and the
+    /// topological sort on each call.
+    fn oracle_plan(
+        g: &DiGraph,
+        targets: &[EntityId],
+    ) -> Result<Vec<PolicyAction>, PolicyViolation> {
+        use std::collections::BTreeMap;
+        if targets.is_empty() {
+            return Err(PlanViolation::EmptyJob.into());
+        }
+        let root = rooted::root(g).ok_or(PlanViolation::NotRooted)?;
+        for &t in targets {
+            if !g.has_node(t) {
+                return Err(PlanViolation::TargetMissing(t).into());
+            }
+        }
+        let sets = dominators::dominator_sets(g, root);
+        let mut common: BTreeSet<EntityId> = sets
+            .get(&targets[0])
+            .ok_or(PlanViolation::UnreachableFromRoot(targets[0]))?
+            .clone();
+        for &t in &targets[1..] {
+            let s = sets.get(&t).ok_or(PlanViolation::UnreachableFromRoot(t))?;
+            common = common.intersection(s).copied().collect();
+        }
+        let start = common
+            .iter()
+            .copied()
+            .max_by_key(|d| sets[d].len())
+            .ok_or(PlanViolation::NoCommonDominator)?;
+        let mut region: BTreeSet<EntityId> = targets.iter().copied().collect();
+        region.insert(start);
+        let mut frontier: Vec<EntityId> = targets.iter().copied().filter(|&t| t != start).collect();
+        while let Some(n) = frontier.pop() {
+            for p in g.predecessors(n) {
+                if p != start && region.insert(p) {
+                    frontier.push(p);
+                }
+            }
+        }
+        let topo = dag::topological_sort(g).ok_or(PlanViolation::CyclicGraph)?;
+        let order: Vec<EntityId> = topo.into_iter().filter(|n| region.contains(n)).collect();
+        let idx: BTreeMap<EntityId, usize> =
+            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let mut release_after: BTreeMap<usize, Vec<EntityId>> = BTreeMap::new();
+        for &n in &order {
+            let last_succ = g
+                .successors(n)
+                .filter(|s| region.contains(s))
+                .filter_map(|s| idx.get(&s).copied())
+                .max();
+            let at = last_succ.unwrap_or(idx[&n]);
+            release_after.entry(at).or_default().push(n);
+        }
+        let target_set: BTreeSet<EntityId> = targets.iter().copied().collect();
+        let mut plan = Vec::new();
+        for (i, &n) in order.iter().enumerate() {
+            plan.push(PolicyAction::Lock(n));
+            if target_set.contains(&n) {
+                plan.push(PolicyAction::Access(n));
+            }
+            if let Some(done) = release_after.get(&i) {
+                for &m in done {
+                    plan.push(PolicyAction::Unlock(m));
+                }
+            }
+        }
+        Ok(plan)
+    }
+
+    /// Plans `targets` with the long-lived `planner` and the oracle, and
+    /// requires the same `Ok(plan)` or the same `Err`.
+    fn same_plan(
+        planner: &mut DdagPlanner,
+        g: &DiGraph,
+        targets: &[EntityId],
+    ) -> Result<Vec<PolicyAction>, PolicyViolation> {
+        let got = planner.plan_traversal(g, targets);
+        assert_eq!(got, oracle_plan(g, targets), "targets {targets:?}");
+        got
+    }
+
+    #[test]
+    fn cached_plans_match_the_per_plan_oracle_under_churn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut ok, mut not_rooted, mut missing) = (0, 0, 0);
+        for seed in 0..12u64 {
+            let d = crate::layered_dag(4, 4, 3, seed);
+            let mut g = d.graph;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut planner = DdagPlanner::default();
+            let mut next_id = 10_000u32;
+            for _ in 0..60 {
+                match rng.random_range(0..4u32) {
+                    0 => {
+                        // A two-step insert: between the node and its edge
+                        // the fresh node is a second root.
+                        let nodes: Vec<EntityId> = g.nodes().collect();
+                        let parent = nodes[rng.random_range(0..nodes.len())];
+                        let fresh = EntityId(next_id);
+                        next_id += 1;
+                        g.add_node(fresh).unwrap();
+                        let r = same_plan(&mut planner, &g, &[parent]);
+                        assert_eq!(r, Err(PlanViolation::NotRooted.into()));
+                        not_rooted += 1;
+                        g.add_edge(parent, fresh).unwrap();
+                    }
+                    1 => {
+                        // An edge forward in topological order keeps the
+                        // graph acyclic and rooted.
+                        let topo = dag::topological_sort(&g).unwrap();
+                        let i = rng.random_range(0..topo.len() - 1);
+                        let j = rng.random_range(i + 1..topo.len());
+                        let _ = g.add_edge(topo[i], topo[j]);
+                    }
+                    2 => {
+                        // Delete an edge whose head keeps another parent.
+                        let edges: Vec<(EntityId, EntityId)> =
+                            g.edges().filter(|&(_, b)| g.in_degree(b) > 1).collect();
+                        if !edges.is_empty() {
+                            let (a, b) = edges[rng.random_range(0..edges.len())];
+                            g.remove_edge(a, b).unwrap();
+                        }
+                    }
+                    _ => {}
+                }
+                for _ in 0..4 {
+                    let nodes: Vec<EntityId> = g.nodes().collect();
+                    let k = rng.random_range(1..=3usize);
+                    let mut targets: Vec<EntityId> = (0..k)
+                        .map(|_| nodes[rng.random_range(0..nodes.len())])
+                        .collect();
+                    if rng.random_range(0..10u32) == 0 {
+                        targets.push(EntityId(99_999));
+                    }
+                    match same_plan(&mut planner, &g, &targets) {
+                        Ok(_) => ok += 1,
+                        Err(PolicyViolation::Plan(PlanViolation::TargetMissing(_))) => missing += 1,
+                        Err(other) => panic!("unexpected {other:?}"),
+                    }
+                }
+            }
+        }
+        assert!(
+            ok > 1000 && not_rooted > 50 && missing > 50,
+            "{ok} {not_rooted} {missing}"
+        );
+    }
+
+    #[test]
+    fn cached_plans_match_the_oracle_on_error_shapes() {
+        let e = EntityId;
+        let mut planner = DdagPlanner::default();
+        // Rooted but cyclic: r -> a -> b -> a.
+        let g = DiGraph::from_parts(
+            [e(0), e(1), e(2)],
+            [(e(0), e(1)), (e(1), e(2)), (e(2), e(1))],
+        );
+        let r = same_plan(&mut planner, &g, &[e(1)]);
+        assert_eq!(r, Err(PlanViolation::CyclicGraph.into()));
+        // NotRooted wins over a missing target, as in the oracle.
+        let g = DiGraph::from_parts([e(0), e(1)], []);
+        let r = same_plan(&mut planner, &g, &[e(9)]);
+        assert_eq!(r, Err(PlanViolation::NotRooted.into()));
+        let r = same_plan(&mut planner, &g, &[]);
+        assert_eq!(r, Err(PlanViolation::EmptyJob.into()));
+    }
+
+    #[test]
+    fn one_planner_serves_a_graph_and_its_mutated_clone() {
+        // A: r -> y -> x -> {a, j}. Targets {a, j} start at x.
+        let e = EntityId;
+        let (r, y, x, a, j) = (e(0), e(1), e(2), e(3), e(4));
+        let ga = DiGraph::from_parts([r, y, x, a, j], [(r, y), (y, x), (x, a), (x, j)]);
+        let mut planner = DdagPlanner::default();
+        let on_a = same_plan(&mut planner, &ga, &[a, j]).unwrap();
+        assert_eq!(on_a[0], PolicyAction::Lock(x));
+        // B = A + (y, j): the start moves up to y. A layout left over from
+        // A would start at x and climb past y to r.
+        let mut gb = ga.clone();
+        assert_eq!(gb.version(), ga.version());
+        assert_eq!(same_plan(&mut planner, &gb, &[a, j]).unwrap(), on_a);
+        gb.add_edge(y, j).unwrap();
+        let on_b = same_plan(&mut planner, &gb, &[a, j]).unwrap();
+        assert_eq!(on_b[0], PolicyAction::Lock(y));
+        assert!(!on_b.contains(&PolicyAction::Lock(r)));
+        assert_eq!(same_plan(&mut planner, &ga, &[a, j]).unwrap(), on_a);
+        assert_eq!(same_plan(&mut planner, &gb, &[a, j]).unwrap(), on_b);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the graph substrate: dominators against the
-//! path-enumeration definition, reachability duality, forest invariants.
+//! path-enumeration definition, the dominator tree against the dominator
+//! sets, version-blind graph equality, reachability duality, forest
+//! invariants.
 
 use proptest::prelude::*;
 use safe_locking::core::EntityId;
@@ -45,6 +47,35 @@ fn arb_layered_dag() -> impl Strategy<Value = (DiGraph, EntityId)> {
             prev = this;
         }
         (g, root)
+    })
+}
+
+/// Generates a random rooted DAG whose non-root node `i` takes one to
+/// three parents from *any* earlier node, so joins span layers and
+/// diamonds nest. Returns the graph, its root and the insertion order of
+/// its edges.
+fn arb_rooted_dag() -> impl Strategy<Value = (DiGraph, EntityId, Vec<(EntityId, EntityId)>)> {
+    (2u32..16, any::<u64>()).prop_map(|(n, seed)| {
+        let mut state = seed | 1;
+        let mut next = move |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as u32) % bound.max(1)
+        };
+        let mut g = DiGraph::new();
+        let mut edges = Vec::new();
+        g.add_node(EntityId(0)).unwrap();
+        for i in 1..n {
+            g.add_node(EntityId(i)).unwrap();
+            for _ in 0..1 + next(3) {
+                let p = EntityId(next(i));
+                if g.add_edge(p, EntityId(i)).is_ok() {
+                    edges.push((p, EntityId(i)));
+                }
+            }
+        }
+        (g, EntityId(0), edges)
     })
 }
 
@@ -129,6 +160,60 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dominator_tree_agrees_with_dominator_sets((g, root, _) in arb_rooted_dag()) {
+        let dom = dominators::dominator_sets(&g, root);
+        let tree = dominators::immediate_dominators(&g, root);
+        prop_assert_eq!(tree.idom(root), None);
+        for n in g.nodes() {
+            prop_assert_eq!(tree.depth(n).is_some(), dom.contains_key(&n));
+        }
+        for (&n, set) in &dom {
+            // The immediate dominator is the strict dominator that every
+            // other strict dominator dominates: the one with the largest
+            // dominator set.
+            let expected = set
+                .iter()
+                .copied()
+                .filter(|&d| d != n)
+                .max_by_key(|d| dom[d].len());
+            prop_assert_eq!(tree.idom(n), expected, "idom({})", n);
+            prop_assert_eq!(tree.depth(n), Some(set.len() - 1), "depth({})", n);
+        }
+        for (&a, sa) in &dom {
+            for (&b, sb) in &dom {
+                let lowest = sa.intersection(sb).copied().max_by_key(|d| dom[d].len());
+                prop_assert_eq!(tree.lowest_common_dominator(a, b), lowest, "lcd({}, {})", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn graph_equality_ignores_the_version_stamp((g, _root, edges) in arb_rooted_dag()) {
+        // The same content built in the opposite order.
+        let nodes: Vec<EntityId> = g.nodes().collect();
+        let mut h = DiGraph::new();
+        for &n in nodes.iter().rev() {
+            h.add_node(n).unwrap();
+        }
+        for &(a, b) in edges.iter().rev() {
+            h.add_edge(a, b).unwrap();
+        }
+        prop_assert_ne!(h.version(), g.version());
+        prop_assert_eq!(&h, &g);
+        // A clone shares the stamp until its first mutation, which mints
+        // a stamp no other graph has.
+        let mut c = g.clone();
+        prop_assert_eq!(c.version(), g.version());
+        let fresh = EntityId(1_000);
+        c.add_node(fresh).unwrap();
+        prop_assert!(c.version() != g.version() && c.version() != h.version());
+        prop_assert_ne!(&c, &g);
+        c.remove_node(fresh).unwrap();
+        prop_assert_eq!(&c, &g);
+        prop_assert_ne!(c.version(), g.version());
+    }
 
     #[test]
     fn forest_operations_maintain_forest_shape(
